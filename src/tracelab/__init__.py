@@ -7,6 +7,8 @@ uniform kernel reconstruction, the heat-trace/theta identity, and the
 wave-trace/billiard-length correspondence on rectangles.
 """
 
+import types
+
 from .billiard import (
     ClosedOrbit,
     LengthSpectrum,
@@ -82,23 +84,6 @@ from .wavetrace import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClosedOrbit", "LengthSpectrum", "Table", "Trajectory", "disc",
-    "is_closed", "length_spectrum", "rectangle", "simulate",
-    "HeatTraceReport", "ThetaEvaluation", "heat_evolve", "heat_trace_check",
-    "theta", "theta_transform_residual",
-    "KernelSpec", "apply_kernel", "diagonal_trace", "eval_green", "eval_heat",
-    "eval_heat_periodic", "green_dirichlet", "heat_circle", "heat_line",
-    "tabulated",
-    "EigenDecomposition", "NumericalError", "SymMatrix", "eigh_eigen",
-    "jacobi_eigen", "matrix_trace_identity", "spectral_outer_reconstruction",
-    "BaselReport", "MercerReport", "basel_via_trace", "mercer_reconstruct",
-    "trace_chain_check",
-    "OperatorSpectrum", "TraceFormulaReport", "discretize",
-    "operator_spectrum", "trace_formula_check",
-    "MIDPOINT", "TRAPEZOID", "Grid", "inner_product", "integrate", "make_grid",
-    "DIRICHLET_BASIS", "PERIODIC_BASIS", "SpectralBasis", "residual_check",
-    "solve_direct", "solve_spectral",
-    "LaplaceSpectrum", "LengthMatchReport", "TraceSignal", "compare_lengths",
-    "detect_peaks", "rectangle_spectrum", "smoothed_wave_trace",
-]
+# every public name imported above; the submodules themselves are not exported
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, types.ModuleType)]

@@ -189,8 +189,8 @@ def simulate(table: Table, start, direction, length_budget: float) -> Trajectory
     1e-12 of a corner stop early with the corner-hit tag, since no
     reflection is defined there.
     """
-    if length_budget <= 0.0:
-        raise ValueError(f"length budget must be positive, got {length_budget}")
+    if not 0.0 < length_budget < math.inf:  # NaN or inf would never be spent
+        raise ValueError(f"length budget must be positive and finite, got {length_budget}")
     p = np.asarray(start, dtype=float).copy()
     if p.shape != (2,):
         raise ValueError(f"start must be a point in the plane, got shape {p.shape}")

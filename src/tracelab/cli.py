@@ -1,9 +1,15 @@
 """Command-line front end: every experiment as one reproducible subcommand.
 
 Each command prints a single summary line with the headline value or
-residual and optionally writes CSV/JSON artifacts.  Exit status is 0 on
-success, 2 on validation errors, 1 on numerical failure.  Identical
-arguments (and seed) produce byte-identical output files.
+residual and optionally writes its CSV table or JSON record.  Exit status
+is 0 on success, 2 on validation and file errors, 1 on numerical failure
+or exhausted memory.  Identical arguments (and seed) produce
+byte-identical output files.
+
+Each `_cmd_*` handler only computes.  It returns (summary line, record,
+to_csv): `record` is the --format json payload, and `to_csv(path)` writes
+the command's CSV table, or is None when a one-row CSV of `record` is the
+table.  `main` does all printing and writing.
 """
 
 from __future__ import annotations
@@ -24,18 +30,16 @@ from .quadrature import MIDPOINT, TRAPEZOID, make_grid
 _GRID_NAMES = {"trapezoid": TRAPEZOID, "midpoint": MIDPOINT}
 
 
-def _kernel_from_arg(name: str, t: float):
-    if name == "green":
-        return kernels.green_dirichlet()
-    if name == "heat-circle":
-        return kernels.heat_circle(t)
-    if name.endswith(".csv"):
-        return kernels.kernel_from_csv(name)
-    raise ValueError(f"unknown kernel {name!r} (green, heat-circle, or a .csv path)")
+def finite(text: str) -> float:
+    """Parse a float option, rejecting NaN and infinities."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 def _parse_floats(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part]
+    return [finite(part) for part in text.split(",") if part]
 
 
 def _indefiniteness(matrix, mode: str) -> None:
@@ -52,80 +56,71 @@ def _indefiniteness(matrix, mode: str) -> None:
         print(f"warning: {message}", file=sys.stderr)
 
 
-def _write_record(args, record: dict, csv_header=None) -> None:
-    if not args.out:
-        return
-    if args.format == "json":
-        write_json(args.out, record)
+def _kernel_and_grid(args):
+    """The kernel named by --kernel and its grid, checked for indefiniteness."""
+    if args.kernel == "green":
+        spec = kernels.green_dirichlet()
+    elif args.kernel == "heat-circle":
+        spec = kernels.heat_circle(args.t)
+    elif args.kernel.endswith(".csv"):
+        spec = kernels.kernel_from_csv(args.kernel)
     else:
-        header = csv_header or list(record)
-        write_csv(args.out, header, [[record[k] for k in header]])
-
-
-def _cmd_trace_check(args) -> int:
-    spec = _kernel_from_arg(args.kernel, args.t)
+        raise ValueError(f"unknown kernel {args.kernel!r} "
+                         "(green, heat-circle, or a .csv path)")
     grid = spec.grid if spec.kind == kernels.TABULATED else \
         make_grid(_GRID_NAMES[args.grid], args.n)
     _indefiniteness(nystrom.discretize(spec, grid), args.indefinite)
-    report = nystrom.trace_formula_check(spec, grid, eigensolver=args.eigensolver)
-    _write_record(args, {"eig_sum": report.eig_sum,
-                         "diag_integral": report.diag_integral,
-                         "residual": report.residual})
-    print(f"trace-check kernel={args.kernel} n={grid.n}: "
-          f"eig_sum={report.eig_sum!r} diag_integral={report.diag_integral!r} "
-          f"residual={report.residual:.3e}")
-    return 0
+    return spec, grid
 
 
-def _cmd_spectrum(args) -> int:
-    spec = _kernel_from_arg(args.kernel, args.t)
-    grid = spec.grid if spec.kind == kernels.TABULATED else \
-        make_grid(_GRID_NAMES[args.grid], args.n)
-    _indefiniteness(nystrom.discretize(spec, grid), args.indefinite)
-    spectrum = nystrom.operator_spectrum(spec, grid, args.count,
-                                         eigensolver=args.eigensolver)
+def _cmd_trace_check(args):
+    spec, grid = _kernel_and_grid(args)
+    report = nystrom.trace_formula_check(spec, grid)
+    return (f"trace-check kernel={args.kernel} n={grid.n}: "
+            f"eig_sum={report.eig_sum!r} diag_integral={report.diag_integral!r} "
+            f"residual={report.residual:.3e}",
+            {"eig_sum": report.eig_sum, "diag_integral": report.diag_integral,
+             "residual": report.residual}, None)
+
+
+def _cmd_spectrum(args):
+    spec, grid = _kernel_and_grid(args)
+    spectrum = nystrom.operator_spectrum(spec, grid, args.count)
     analytic = None
+    headline = f"lambda1={float(spectrum.eigenvalues[0])!r}"
     if args.kernel == "green":
         analytic = [1.0 / (math.pi**2 * k**2) for k in range(1, args.count + 1)]
-    if args.out:
-        if args.format == "json":
-            write_json(args.out, {"eigenvalues": spectrum.eigenvalues,
-                                  "analytic": analytic})
-        else:
-            out = Path(args.out)
-            functions_path = out.with_name(out.stem + "_functions" + out.suffix)
-            nystrom.spectrum_to_csv(spectrum, out, functions_path, analytic=analytic)
-    headline = f"lambda1={float(spectrum.eigenvalues[0])!r}"
-    if analytic is not None:
         rel = np.abs(spectrum.eigenvalues - np.array(analytic)) / np.array(analytic)
         headline += f" max_rel_err={rel.max():.3e}"
-    print(f"spectrum kernel={args.kernel} n={grid.n} count={args.count}: {headline}")
-    return 0
+
+    def to_csv(path):
+        out = Path(path)
+        functions_path = out.with_name(out.stem + "_functions" + out.suffix)
+        nystrom.spectrum_to_csv(spectrum, out, functions_path, analytic=analytic)
+
+    return (f"spectrum kernel={args.kernel} n={grid.n} count={args.count}: {headline}",
+            {"eigenvalues": spectrum.eigenvalues, "analytic": analytic}, to_csv)
 
 
-def _cmd_mercer(args) -> int:
+def _cmd_mercer(args):
     report = mercer.mercer_reconstruct(args.kmax, args.lattice_n)
-    record = {"k_max": report.k_max, "sup_error": report.sup_error,
-              "tail_bound": report.tail_bound, "partial_basel": report.partial_basel,
-              "basel_target": report.basel_target}
-    if args.out and args.format == "json":
-        mercer.report_to_json(report, args.out)
-    else:
-        _write_record(args, record)
-    print(f"mercer kmax={report.k_max} lattice={args.lattice_n}: "
-          f"sup_error={report.sup_error:.6e} tail_bound={report.tail_bound:.6e}")
-    return 0
+    return (f"mercer kmax={report.k_max} lattice={args.lattice_n}: "
+            f"sup_error={report.sup_error:.6e} tail_bound={report.tail_bound:.6e}",
+            {"k_max": report.k_max, "sup_error": report.sup_error,
+             "tail_bound": report.tail_bound, "partial_basel": report.partial_basel,
+             "basel_target": report.basel_target}, None)
 
 
-def _cmd_basel(args) -> int:
+def _cmd_basel(args):
     report = mercer.basel_via_trace(args.kmax)
-    _write_record(args, {"lhs": report.lhs, "rhs": report.rhs, "gap": report.gap})
-    print(f"basel kmax={args.kmax}: partial_sum={report.lhs!r} "
-          f"target={report.rhs!r} gap={report.gap:.6e}")
-    return 0
+    return (f"basel kmax={args.kmax}: partial_sum={report.lhs!r} "
+            f"target={report.rhs!r} gap={report.gap:.6e}",
+            {"lhs": report.lhs, "rhs": report.rhs, "gap": report.gap}, None)
 
 
-def _cmd_bvp_compare(args) -> int:
+def _cmd_bvp_compare(args):
+    if args.trials < 1:
+        raise ValueError(f"bvp-compare needs at least one trial, got {args.trials}")
     grid = make_grid(TRAPEZOID, args.n)
     worst = -1.0
     worst_data = None
@@ -137,30 +132,24 @@ def _cmd_bvp_compare(args) -> int:
         if sup > worst:
             worst = sup
             worst_data = (direct, f)
-    if args.out:
-        if args.format == "json":
-            write_json(args.out, {"max_sup_diff": worst, "trials": args.trials,
-                                  "k_max": args.kmax, "n": args.n, "seed": args.seed})
-        else:
-            sturm.solution_to_csv(grid, worst_data[0], worst_data[1], args.out)
-    print(f"bvp-compare n={args.n} kmax={args.kmax} trials={args.trials} "
-          f"seed={args.seed}: max_sup_diff={worst:.6e}")
-    return 0
+    return (f"bvp-compare n={args.n} kmax={args.kmax} trials={args.trials} "
+            f"seed={args.seed}: max_sup_diff={worst:.6e}",
+            {"max_sup_diff": worst, "trials": args.trials, "k_max": args.kmax,
+             "n": args.n, "seed": args.seed},
+            lambda path: sturm.solution_to_csv(grid, *worst_data, path))
 
 
-def _cmd_theta(args) -> int:
+def _cmd_theta(args):
     evaluation = heat.theta(args.s)
     residual = heat.theta_transform_residual(args.s)
-    _write_record(args, {"s": args.s, "value": evaluation.value,
-                         "k_used": evaluation.k_used,
-                         "tail_estimate": evaluation.tail_estimate,
-                         "transform_residual": residual})
-    print(f"theta s={args.s}: value={evaluation.value!r} k_used={evaluation.k_used} "
-          f"transform_residual={residual:.3e}")
-    return 0
+    return (f"theta s={args.s}: value={evaluation.value!r} k_used={evaluation.k_used} "
+            f"transform_residual={residual:.3e}",
+            {"s": args.s, "value": evaluation.value, "k_used": evaluation.k_used,
+             "tail_estimate": evaluation.tail_estimate,
+             "transform_residual": residual}, None)
 
 
-def _cmd_heat_compare(args) -> int:
+def _cmd_heat_compare(args):
     grid = make_grid(MIDPOINT, args.n)
     f = heat.random_trig_sample(grid, modes=args.modes, seed=args.seed)
     spectral = heat.heat_evolve(f, grid, args.t, method=heat.SPECTRAL,
@@ -168,33 +157,23 @@ def _cmd_heat_compare(args) -> int:
     kernel = heat.heat_evolve(f, grid, args.t, method=heat.KERNEL,
                               l_max=args.lmax)
     sup = float(np.abs(spectral - kernel).max())
-    if args.out:
-        if args.format == "json":
-            write_json(args.out, {"sup_diff": sup, "t": args.t, "n": args.n,
-                                  "seed": args.seed})
-        else:
-            write_csv(args.out, ("node", "f", "u_spectral", "u_kernel"),
-                      zip(grid.nodes, f, spectral, kernel))
-    print(f"heat-compare t={args.t} n={args.n} seed={args.seed}: sup_diff={sup:.6e}")
-    return 0
+    return (f"heat-compare t={args.t} n={args.n} seed={args.seed}: sup_diff={sup:.6e}",
+            {"sup_diff": sup, "t": args.t, "n": args.n, "seed": args.seed},
+            lambda path: write_csv(path, ("node", "f", "u_spectral", "u_kernel"),
+                                   zip(grid.nodes, f, spectral, kernel)))
 
 
-def _cmd_heat_trace(args) -> int:
+def _cmd_heat_trace(args):
     ts = _parse_floats(args.t)
     if not ts:
         raise ValueError("heat-trace needs at least one t value")
     grid = make_grid(MIDPOINT, args.n)
     reports = [heat.heat_trace_check(t, grid) for t in ts]
-    if args.out:
-        if args.format == "json":
-            write_json(args.out, [{"t": t, "lhs": r.spectral_side,
-                                   "rhs": r.kernel_side, "residual": r.residual}
-                                  for t, r in zip(ts, reports)])
-        else:
-            heat.trace_sweep_to_csv(ts, reports, args.out)
     worst = max(r.residual for r in reports)
-    print(f"heat-trace t={args.t} n={args.n}: max_residual={worst:.3e}")
-    return 0
+    return (f"heat-trace t={args.t} n={args.n}: max_residual={worst:.3e}",
+            [{"t": t, "lhs": r.spectral_side, "rhs": r.kernel_side,
+              "residual": r.residual} for t, r in zip(ts, reports)],
+            lambda path: heat.trace_sweep_to_csv(ts, reports, path))
 
 
 def _table_from_args(args) -> billiard.Table:
@@ -203,7 +182,7 @@ def _table_from_args(args) -> billiard.Table:
     return billiard.disc(args.radius)
 
 
-def _cmd_billiard(args) -> int:
+def _cmd_billiard(args):
     table = _table_from_args(args)
     start = tuple(args.start)
     norm = math.hypot(*args.dir)
@@ -212,41 +191,33 @@ def _cmd_billiard(args) -> int:
     direction = (args.dir[0] / norm, args.dir[1] / norm)
     trajectory = billiard.simulate(table, start, direction, args.budget)
     orbit = billiard.is_closed(trajectory, start, direction, tol=args.tol)
-    if args.out:
-        if args.format == "json":
-            write_json(args.out, {
-                "bounces": len(trajectory.segments) - 1,
-                "total_length": trajectory.total_length,
-                "terminated_by": trajectory.terminated_by,
-                "closed_length": orbit.length if orbit else None,
-            })
-        else:
-            billiard.trajectory_to_csv(trajectory, args.out)
     closed = f"closed_at={orbit.length!r}" if orbit else "not_closed"
-    print(f"billiard {args.shape} budget={args.budget}: "
-          f"segments={len(trajectory.segments)} "
-          f"total_length={trajectory.total_length!r} "
-          f"terminated_by={trajectory.terminated_by} {closed}")
-    return 0
+    return (f"billiard {args.shape} budget={args.budget}: "
+            f"segments={len(trajectory.segments)} "
+            f"total_length={trajectory.total_length!r} "
+            f"terminated_by={trajectory.terminated_by} {closed}",
+            {"bounces": len(trajectory.segments) - 1,
+             "total_length": trajectory.total_length,
+             "terminated_by": trajectory.terminated_by,
+             "closed_length": orbit.length if orbit else None},
+            lambda path: billiard.trajectory_to_csv(trajectory, path))
 
 
-def _cmd_length_spectrum(args) -> int:
+def _cmd_length_spectrum(args):
     table = _table_from_args(args)
     spectrum = billiard.length_spectrum(table, args.l_max,
                                         max_bounces=args.max_bounces)
-    if args.out:
-        if args.format == "json":
-            write_json(args.out, {"lengths": spectrum.lengths,
-                                  "descriptors": [list(d) for d in spectrum.descriptors]})
-        else:
-            billiard.spectrum_to_csv(spectrum, args.out)
     shortest = float(spectrum.lengths[0]) if len(spectrum.lengths) else None
-    print(f"length-spectrum {args.shape} l_max={args.l_max}: "
-          f"count={len(spectrum.lengths)} shortest={shortest!r}")
-    return 0
+    return (f"length-spectrum {args.shape} l_max={args.l_max}: "
+            f"count={len(spectrum.lengths)} shortest={shortest!r}",
+            {"lengths": spectrum.lengths,
+             "descriptors": [list(d) for d in spectrum.descriptors]},
+            lambda path: billiard.spectrum_to_csv(spectrum, path))
 
 
-def _cmd_wave_trace(args) -> int:
+def _cmd_wave_trace(args):
+    if args.t_step <= 0.0:
+        raise ValueError(f"t-step must be positive, got {args.t_step}")
     mu_max = args.mu_max
     if mu_max is None:
         mu_max = math.pi**2 * (80**2 + 1)
@@ -262,23 +233,14 @@ def _cmd_wave_trace(args) -> int:
         descriptors=tuple(d for d, k in zip(lengths.descriptors, keep) if k),
     )
     report = wavetrace.compare_lengths(peaks, scanned, args.tol)
-    if args.out:
-        wavetrace.signal_to_csv(signal, args.out)
-    if args.report:
-        wavetrace.match_report_to_json(report, args.report, extra={
-            "a": args.a, "b": args.b, "sigma": args.sigma, "mu_max": mu_max,
-            "eigenvalue_count": len(spectrum.eigenvalues),
-            "peaks": list(peaks),
-        })
-    print(f"wave-trace rectangle({args.a},{args.b}) sigma={args.sigma}: "
-          f"peaks={len(peaks)} matched={len(report.matched)} "
-          f"missed={len(report.missed)} spurious={len(report.spurious)}")
-    return 0
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", help="output file path")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    record = wavetrace.match_record(report) | {
+        "a": args.a, "b": args.b, "sigma": args.sigma, "mu_max": mu_max,
+        "eigenvalue_count": len(spectrum.eigenvalues), "peaks": list(peaks),
+    }
+    return (f"wave-trace rectangle({args.a},{args.b}) sigma={args.sigma}: "
+            f"peaks={len(peaks)} matched={len(report.matched)} "
+            f"missed={len(report.missed)} spurious={len(report.spurious)}",
+            record, lambda path: wavetrace.signal_to_csv(signal, path))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,107 +251,93 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("trace-check", help="eigenvalue sum vs kernel diagonal integral")
-    p.add_argument("--kernel", default="green")
-    p.add_argument("--t", type=float, default=0.5, help="time for heat kernels")
-    p.add_argument("--n", type=int, default=201)
-    p.add_argument("--grid", choices=tuple(_GRID_NAMES), default="trapezoid")
-    p.add_argument("--eigensolver", choices=("auto", "jacobi", "eigh"), default="auto")
-    p.add_argument("--indefinite", choices=("warn", "fail", "ignore"), default="warn")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_trace_check)
+    def command(name: str, handler, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("spectrum", help="leading eigenpairs of a kernel operator")
-    p.add_argument("--kernel", default="green")
-    p.add_argument("--t", type=float, default=0.5)
-    p.add_argument("--n", type=int, default=401)
-    p.add_argument("--grid", choices=tuple(_GRID_NAMES), default="trapezoid")
+    def kernel_options(p: argparse.ArgumentParser, n: int) -> None:
+        p.add_argument("--kernel", default="green")
+        p.add_argument("--t", type=finite, default=0.5, help="time for heat kernels")
+        p.add_argument("--n", type=int, default=n)
+        p.add_argument("--grid", choices=tuple(_GRID_NAMES), default="trapezoid")
+
+    def table_options(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--shape", choices=("rectangle", "disc"), default="rectangle")
+        p.add_argument("--a", type=finite, default=1.0)
+        p.add_argument("--b", type=finite, default=1.0)
+        p.add_argument("--radius", type=finite, default=1.0)
+
+    p = command("trace-check", _cmd_trace_check,
+                "eigenvalue sum vs kernel diagonal integral")
+    kernel_options(p, n=201)
+    p.add_argument("--indefinite", choices=("warn", "fail", "ignore"), default="warn")
+
+    p = command("spectrum", _cmd_spectrum, "leading eigenpairs of a kernel operator")
+    kernel_options(p, n=401)
     p.add_argument("--count", type=int, default=10)
-    p.add_argument("--eigensolver", choices=("auto", "jacobi", "eigh"), default="auto")
     p.add_argument("--indefinite", choices=("warn", "fail", "ignore"), default="warn")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_spectrum)
 
-    p = sub.add_parser("mercer", help="uniform reconstruction error of the Green kernel")
+    p = command("mercer", _cmd_mercer, "uniform reconstruction error of the Green kernel")
     p.add_argument("--kmax", type=int, default=100)
     p.add_argument("--lattice-n", type=int, default=101)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_mercer)
 
-    p = sub.add_parser("basel", help="partial sums of 1/k^2 against pi^2/6")
+    p = command("basel", _cmd_basel, "partial sums of 1/k^2 against pi^2/6")
     p.add_argument("--kmax", type=int, default=1000000)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_basel)
 
-    p = sub.add_parser("bvp-compare", help="direct vs spectral solver for -u''=f")
+    p = command("bvp-compare", _cmd_bvp_compare, "direct vs spectral solver for -u''=f")
     p.add_argument("--n", type=int, default=1001)
     p.add_argument("--kmax", type=int, default=500)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_bvp_compare)
 
-    p = sub.add_parser("theta", help="theta function and its transformation residual")
-    p.add_argument("--s", type=float, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_theta)
+    p = command("theta", _cmd_theta, "theta function and its transformation residual")
+    p.add_argument("--s", type=finite, required=True)
 
-    p = sub.add_parser("heat-compare", help="spectral vs kernel heat evolution")
-    p.add_argument("--t", type=float, default=0.25)
+    p = command("heat-compare", _cmd_heat_compare, "spectral vs kernel heat evolution")
+    p.add_argument("--t", type=finite, default=0.25)
     p.add_argument("--n", type=int, default=512)
     p.add_argument("--modes", type=int, default=5)
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument("--lmax", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_heat_compare)
 
-    p = sub.add_parser("heat-trace", help="heat semigroup trace two ways")
+    p = command("heat-trace", _cmd_heat_trace, "heat semigroup trace two ways")
     p.add_argument("--t", default="0.05,0.1,0.5",
                    help="comma-separated list of times")
     p.add_argument("--n", type=int, default=201)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_heat_trace)
 
-    p = sub.add_parser("billiard", help="simulate one billiard trajectory")
-    p.add_argument("--shape", choices=("rectangle", "disc"), default="rectangle")
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--start", nargs=2, type=float, default=(0.5, 0.25),
+    p = command("billiard", _cmd_billiard, "simulate one billiard trajectory")
+    table_options(p)
+    p.add_argument("--start", nargs=2, type=finite, default=(0.5, 0.25),
                    metavar=("X", "Y"))
-    p.add_argument("--dir", nargs=2, type=float, default=(1.0, 1.0),
+    p.add_argument("--dir", nargs=2, type=finite, default=(1.0, 1.0),
                    metavar=("DX", "DY"), help="direction, normalized internally")
-    p.add_argument("--budget", type=float, default=10.0)
-    p.add_argument("--tol", type=float, default=1e-9)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_billiard)
+    p.add_argument("--budget", type=finite, default=10.0)
+    p.add_argument("--tol", type=finite, default=1e-9)
 
-    p = sub.add_parser("length-spectrum", help="closed-orbit lengths up to a cutoff")
-    p.add_argument("--shape", choices=("rectangle", "disc"), default="rectangle")
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--l-max", type=float, default=6.0)
+    p = command("length-spectrum", _cmd_length_spectrum,
+                "closed-orbit lengths up to a cutoff")
+    table_options(p)
+    p.add_argument("--l-max", type=finite, default=6.0)
     p.add_argument("--max-bounces", type=int, default=64)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_length_spectrum)
 
-    p = sub.add_parser("wave-trace", help="smoothed wave trace peaks vs orbit lengths")
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, default=0.05)
-    p.add_argument("--mu-max", type=float, default=None,
+    p = command("wave-trace", _cmd_wave_trace, "smoothed wave trace peaks vs orbit lengths")
+    p.add_argument("--a", type=finite, default=1.0)
+    p.add_argument("--b", type=finite, default=1.0)
+    p.add_argument("--sigma", type=finite, default=0.05)
+    p.add_argument("--mu-max", type=finite, default=None,
                    help="spectral cutoff; defaults to pi^2 (80^2 + 1)")
-    p.add_argument("--t-min", type=float, default=1.5)
-    p.add_argument("--t-max", type=float, default=6.2)
-    p.add_argument("--t-step", type=float, default=0.002)
+    p.add_argument("--t-min", type=finite, default=1.5)
+    p.add_argument("--t-max", type=finite, default=6.2)
+    p.add_argument("--t-step", type=finite, default=0.002)
     p.add_argument("--window", type=int, default=25)
-    p.add_argument("--tol", type=float, default=0.1)
+    p.add_argument("--tol", type=finite, default=0.1)
     p.add_argument("--report", help="path for the JSON comparison report")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_wave_trace)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", help="output file path")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 
@@ -424,12 +372,26 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
-        return args.handler(args)
-    except ValueError as exc:
+        summary, record, to_csv = args.handler(args)
+        if args.out:
+            if args.format == "json":
+                write_json(args.out, record)
+            elif to_csv is not None:
+                to_csv(args.out)
+            else:
+                write_csv(args.out, list(record), [list(record.values())])
+        if getattr(args, "report", None):
+            write_json(args.report, record)
+        print(summary)
+        return 0
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -46,8 +46,8 @@ def theta(s: float) -> ThetaEvaluation:
     refused: use the transformed side theta(1/s)/sqrt(s) instead, which
     converges fast exactly when this side does not.
     """
-    if s <= 0.0:
-        raise ValueError(f"theta needs s > 0, got {s}")
+    if not 0.0 < s < math.inf:  # NaN would never meet the term cutoff
+        raise ValueError(f"theta needs finite s > 0, got {s}")
     if _terms_needed(s) > _MAX_TERMS:
         raise ValueError(
             f"theta(s) at s={s} needs more than {_MAX_TERMS} terms; "

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import read_csv, write_csv
-
 
 class NumericalError(RuntimeError):
     """An iterative routine failed to converge."""
@@ -179,22 +177,3 @@ def spectral_outer_reconstruction(decomposition: EigenDecomposition) -> SymMatri
     v = decomposition.vectors
     rebuilt = (v * decomposition.values) @ v.T
     return SymMatrix(entries=rebuilt)
-
-
-def matrix_to_csv(a, path) -> None:
-    sym = _as_sym(a)
-    n = sym.n
-    write_csv(path, [f"c{j}" for j in range(n)], sym.entries)
-
-
-def matrix_from_csv(path) -> SymMatrix:
-    _, rows = read_csv(path)
-    return SymMatrix(entries=np.array(rows, dtype=float))
-
-
-def decomposition_to_csv(decomposition: EigenDecomposition, values_path, vectors_path) -> None:
-    """Save a decomposition as two CSVs: eigenvalues, then eigenvector columns."""
-    write_csv(values_path, ("k", "value"),
-              [(k, v) for k, v in enumerate(decomposition.values)])
-    n = decomposition.vectors.shape[0]
-    write_csv(vectors_path, [f"v{k}" for k in range(n)], decomposition.vectors)

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import write_csv
 
 TRAPEZOID = "uniform-trapezoid"
 MIDPOINT = "uniform-midpoint"
@@ -107,9 +106,3 @@ def inner_product(f: np.ndarray, g: np.ndarray, grid: Grid) -> float:
     fv = _check_sampled(f, grid)
     gv = _check_sampled(g, grid, name="g")
     return float(np.dot(grid.weights, fv * gv))
-
-
-def grid_to_csv(grid: Grid, path) -> None:
-    """Write the grid as CSV with header index,node,weight."""
-    rows = [(i, x, w) for i, (x, w) in enumerate(zip(grid.nodes, grid.weights))]
-    write_csv(path, ("index", "node", "weight"), rows)

@@ -167,12 +167,13 @@ def signal_to_csv(signal: TraceSignal, path) -> None:
     write_csv(path, ("t", "value"), zip(signal.t_grid, signal.values))
 
 
-def match_report_to_json(report: LengthMatchReport, path, extra: dict | None = None) -> None:
-    payload = {
+def match_record(report: LengthMatchReport) -> dict:
+    return {
         "matched": [list(pair) for pair in report.matched],
         "missed": list(report.missed),
         "spurious": list(report.spurious),
     }
-    if extra:
-        payload.update(extra)
-    write_json(path, payload)
+
+
+def match_report_to_json(report: LengthMatchReport, path, extra: dict | None = None) -> None:
+    write_json(path, match_record(report) | (extra or {}))

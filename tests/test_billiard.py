@@ -107,6 +107,12 @@ def test_invalid_starts():
         simulate(disk, (1.0, 0.0), (1.0, 0.0), 1.0)  # on circle, outward
 
 
+@pytest.mark.parametrize("budget", [math.nan, math.inf])
+def test_nonfinite_budget_rejected(budget):
+    with pytest.raises(ValueError, match="finite"):
+        simulate(rectangle(1.0, 1.0), (0.5, 0.25), (1.0 / SQRT2, 1.0 / SQRT2), budget)
+
+
 def test_budget_is_exhausted_exactly():
     table = rectangle(1.0, 2.0)
     traj = simulate(table, (0.3, 0.4), (0.8, 0.6), 7.7)

@@ -1,9 +1,14 @@
+import csv
 import json
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
+import pytest
 
+from tracelab import mercer
 from tracelab.cli import main
 
 
@@ -181,3 +186,96 @@ def test_console_script_entry_point():
     )
     assert result.returncode == 0
     assert "gap=" in result.stdout
+
+
+# small but complete runs of every subcommand
+SMALL_RUNS = {
+    "trace-check": ["--n", "41"],
+    "spectrum": ["--n", "41", "--count", "3"],
+    "mercer": ["--kmax", "20", "--lattice-n", "11"],
+    "basel": ["--kmax", "100"],
+    "bvp-compare": ["--n", "101", "--kmax", "20", "--trials", "2"],
+    "theta": ["--s", "0.5"],
+    "heat-compare": ["--n", "64"],
+    "heat-trace": ["--n", "41"],
+    "billiard": [],
+    "length-spectrum": [],
+    "wave-trace": ["--mu-max", str(np.pi**2 * 1601)],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", SMALL_RUNS)
+def test_every_command_writes_its_format(capsys, tmp_path, command, fmt):
+    out_path = tmp_path / f"out.{fmt}"
+    code, out, _ = run(capsys, command, *SMALL_RUNS[command],
+                       "--format", fmt, "--out", str(out_path))
+    assert code == 0
+    assert out.startswith(command)
+    if fmt == "json":
+        json.loads(out_path.read_text())
+    else:
+        with open(out_path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) >= 2 and all(len(row) == len(rows[0]) for row in rows)
+
+
+def test_wave_trace_json_out_is_the_match_report(capsys, tmp_path):
+    out_path, report_path = tmp_path / "out.json", tmp_path / "report.json"
+    code, _, _ = run(capsys, "wave-trace", *SMALL_RUNS["wave-trace"], "--format", "json",
+                     "--out", str(out_path), "--report", str(report_path))
+    assert code == 0
+    assert out_path.read_bytes() == report_path.read_bytes()
+    assert json.loads(out_path.read_text())["missed"] == []
+
+
+class Hung(Exception):
+    """Raised by the alarm when a command runs past its time limit."""
+
+
+def _out_of_memory(k_max):
+    raise MemoryError("cannot allocate the partial sum")
+
+
+# each used to hang, exit 0 with a wrong answer, or end in a traceback
+BAD_INPUTS = [
+    (["theta", "--s", "nan"], 2),
+    (["heat-trace", "--t", "nan"], 2),
+    (["heat-trace", "--t", "0.1,inf"], 2),
+    (["heat-compare", "--t", "inf"], 2),
+    (["billiard", "--budget", "nan"], 2),
+    (["billiard", "--budget", "inf"], 2),
+    (["length-spectrum", "--l-max", "inf"], 2),
+    (["wave-trace", "--sigma", "nan"], 2),
+    (["wave-trace", "--t-step", "0"], 2),
+    (["bvp-compare", "--trials", "0", "--out", "{tmp}/bvp.csv"], 2),
+    (["theta", "--s", "0.5", "--out", "{tmp}/missing/theta.csv"], 2),
+    (["--json-config", "{tmp}/missing.json"], 2),
+    (["basel", "--kmax", "10000000000"], 1),
+]
+
+
+@pytest.mark.parametrize("argv, expected", BAD_INPUTS,
+                         ids=[" ".join(argv) for argv, _ in BAD_INPUTS])
+def test_bad_input_exits_fast_without_traceback(capsys, tmp_path, monkeypatch,
+                                                argv, expected):
+    # basel is the command that runs out of memory; no test should allocate that much
+    monkeypatch.setattr(mercer, "basel_via_trace", _out_of_memory)
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+
+    def expire(signum, frame):
+        raise Hung(" ".join(argv))
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    start = time.perf_counter()
+    try:
+        code, out, err = run(capsys, *argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < 1.0
+    assert code == expected
+    assert out == ""
+    assert "Traceback" not in err
+    assert "error: " in err.strip().splitlines()[-1]  # after argparse's usage line

@@ -48,6 +48,12 @@ def test_theta_rejects_nonpositive():
         theta(-2.0)
 
 
+@pytest.mark.parametrize("s", [math.nan, math.inf])
+def test_theta_rejects_nonfinite(s):
+    with pytest.raises(ValueError, match="finite"):
+        theta(s)
+
+
 def test_theta_refuses_tiny_argument():
     with pytest.raises(ValueError, match="theta\\(1/s\\)"):
         theta(1e-13)

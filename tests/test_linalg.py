@@ -6,11 +6,8 @@ import pytest
 from tracelab.linalg import (
     EigenDecomposition,
     SymMatrix,
-    decomposition_to_csv,
     eigh_eigen,
     jacobi_eigen,
-    matrix_from_csv,
-    matrix_to_csv,
     matrix_trace_identity,
     spectral_outer_reconstruction,
 )
@@ -154,21 +151,3 @@ def test_jacobi_agrees_with_lapack():
     dj = jacobi_eigen(a)
     de = eigh_eigen(a)
     assert np.abs(dj.values - de.values).max() < 1e-10
-
-
-def test_matrix_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(4)
-    a = random_symmetric(rng, 6)
-    path = tmp_path / "m.csv"
-    matrix_to_csv(a, path)
-    loaded = matrix_from_csv(path)
-    assert np.array_equal(loaded.entries, a)
-
-
-def test_decomposition_csv(tmp_path):
-    d = jacobi_eigen([[2.0, 1.0], [1.0, 2.0]])
-    values_path = tmp_path / "values.csv"
-    vectors_path = tmp_path / "vectors.csv"
-    decomposition_to_csv(d, values_path, vectors_path)
-    assert values_path.read_text().splitlines()[0] == "k,value"
-    assert len(vectors_path.read_text().splitlines()) == 3

@@ -7,7 +7,6 @@ from tracelab.quadrature import (
     MIDPOINT,
     TRAPEZOID,
     Grid,
-    grid_to_csv,
     inner_product,
     integrate,
     make_grid,
@@ -138,22 +137,3 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         Grid(nodes=np.array([0.0, 0.5, 1.0]), weights=np.array([0.5, 0.4, 0.3]),
              kind=TRAPEZOID)
-
-
-def test_grid_csv(tmp_path):
-    g = make_grid(TRAPEZOID, 3)
-    path = tmp_path / "grid.csv"
-    grid_to_csv(g, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "index,node,weight"
-    assert lines[1] == "0,0.0,0.25"
-    assert lines[2] == "1,0.5,0.5"
-    assert lines[3] == "2,1.0,0.25"
-
-
-def test_grid_csv_deterministic(tmp_path):
-    g = make_grid(MIDPOINT, 17)
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    grid_to_csv(g, p1)
-    grid_to_csv(g, p2)
-    assert p1.read_bytes() == p2.read_bytes()
