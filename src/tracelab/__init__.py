@@ -65,12 +65,12 @@ from .nystrom import (
 )
 from .quadrature import MIDPOINT, TRAPEZOID, Grid, inner_product, integrate, make_grid
 from .sturm import (
-    DIRICHLET_BASIS,
-    PERIODIC_BASIS,
-    SpectralBasis,
+    filtered_series,
     residual_check,
+    sine_modes,
     solve_direct,
     solve_spectral,
+    trig_modes,
 )
 from .wavetrace import (
     LaplaceSpectrum,

@@ -27,6 +27,11 @@ CORNER_TOL = 1e-12
 
 _BOUNDARY_TOL = 1e-12
 
+# Work caps, counted before the work starts: 10**5 segments take about 2 s
+# and 50 MB, 10**6 winding pairs about 2 s and 150 MB.
+_MAX_SEGMENTS = 10**5
+_MAX_CANDIDATES = 10**6
+
 
 @dataclass(frozen=True)
 class Table:
@@ -197,9 +202,20 @@ def simulate(table: Table, start, direction, length_budget: float) -> Trajectory
     d = _unit(direction)
     if table.shape == RECTANGLE:
         _validate_rect_start(table, p, d)
-        return _simulate_rectangle(table, p, d, length_budget)
-    _validate_disc_start(table, p, d)
-    return _simulate_disc(table, p, d, length_budget)
+        # along the unfolded line, walls are a/|dx| and b/|dy| apart
+        bounces = length_budget * (abs(d[0]) / table.a + abs(d[1]) / table.b)
+        run = _simulate_rectangle
+    else:
+        _validate_disc_start(table, p, d)
+        # the impact parameter |p x d| is conserved, so all chords are equal
+        impact = float(p[0] * d[1] - p[1] * d[0])
+        chord = 2.0 * math.sqrt(max(table.radius**2 - impact**2, 0.0))
+        bounces = length_budget / chord if chord > 0.0 else math.inf
+        run = _simulate_disc
+    if bounces > _MAX_SEGMENTS:
+        raise ValueError(f"length budget {length_budget} needs about {bounces:.3g} "
+                         f"bounces; the cap is {_MAX_SEGMENTS}")
+    return run(table, p, d, length_budget)
 
 
 def trajectory_end(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
@@ -264,6 +280,9 @@ def length_spectrum(table: Table, l_max: float, max_bounces: int = 64) -> Length
     if table.shape == RECTANGLE:
         p_max = int(math.floor(l_max / (2.0 * table.a)))
         q_max = int(math.floor(l_max / (2.0 * table.b)))
+        if (p_max + 1) * (q_max + 1) > _MAX_CANDIDATES:
+            raise ValueError(f"l_max={l_max} needs more than {_MAX_CANDIDATES} "
+                             "winding pairs, the cap")
         for p in range(p_max + 1):
             for q in range(q_max + 1):
                 if p == 0 and q == 0:
@@ -272,6 +291,10 @@ def length_spectrum(table: Table, l_max: float, max_bounces: int = 64) -> Length
                 if length <= l_max:
                     entries.append((length, (p, q)))
     else:
+        # the (n, q) pairs below number about max_bounces^2 / 4
+        if max_bounces > math.isqrt(_MAX_CANDIDATES):
+            raise ValueError(f"max_bounces={max_bounces} is above the cap of "
+                             f"{math.isqrt(_MAX_CANDIDATES)}")
         candidates = [(2, 1)]
         for n in range(3, max_bounces + 1):
             candidates.extend((n, q) for q in range(1, (n + 1) // 2)

@@ -89,8 +89,9 @@ def _cmd_spectrum(args):
     analytic = None
     headline = f"lambda1={float(spectrum.eigenvalues[0])!r}"
     if args.kernel == "green":
-        analytic = [1.0 / (math.pi**2 * k**2) for k in range(1, args.count + 1)]
-        rel = np.abs(spectrum.eigenvalues - np.array(analytic)) / np.array(analytic)
+        mu, _ = sturm.sine_modes(np.arange(1, args.count + 1), grid.nodes)
+        analytic = 1.0 / mu
+        rel = np.abs(spectrum.eigenvalues - analytic) / analytic
         headline += f" max_rel_err={rel.max():.3e}"
 
     def to_csv(path):

@@ -4,6 +4,9 @@ The semigroup trace computed through the eigenbasis gives the sum of
 exp(-4 pi^2 k^2 t); computed through the periodized Gaussian kernel it
 gives the dual sum — equating them is the transformation formula
 theta(s) = theta(1/s)/sqrt(s) with s = 4 pi t.
+
+The periodic eigendata come from `sturm.trig_modes`; the spectral evolution
+is `sturm.filtered_series`, which evaluates them in O(n)-memory blocks.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 from .fileio import write_csv
 from .kernels import apply_kernel, diagonal_trace, heat_circle
 from .quadrature import MIDPOINT, Grid, _check_sampled
-from .sturm import PERIODIC_BASIS
+from .sturm import filtered_series, trig_modes
 
 _TERM_CUTOFF = 1e-18
 _MAX_TERMS = 10**6
@@ -83,9 +86,8 @@ def heat_evolve(f: np.ndarray, grid: Grid, t: float, method: str = SPECTRAL,
     """Evolve 1-periodic initial data f for time t.
 
     spectral: project f on the real trigonometric modes (exact discrete
-    orthogonality on a midpoint grid), damp coefficient k by
-    exp(-4 pi^2 k^2 t), resum.  k_max defaults to every mode below the
-    grid Nyquist limit.
+    orthogonality on a midpoint grid), damp each coefficient by exp(-mu t),
+    resum.  k_max defaults to every mode below the grid Nyquist limit.
     kernel: quadrature against the periodized heat kernel with cutoff
     l_max (defaulting per the Gaussian tail rule).
     """
@@ -100,17 +102,10 @@ def heat_evolve(f: np.ndarray, grid: Grid, t: float, method: str = SPECTRAL,
             k_max = (grid.n - 1) // 2
         if k_max < 1:
             raise ValueError(f"spectral method needs k_max >= 1, got {k_max}")
-        x = grid.nodes
         mean = float(np.dot(grid.weights, values))
-        u = np.full_like(values, mean)
-        for k in range(1, k_max + 1):
-            damp = math.exp(-PERIODIC_BASIS.mu(k) * t)
-            cos_k = PERIODIC_BASIS.cos_mode(k, x)
-            sin_k = PERIODIC_BASIS.sin_mode(k, x)
-            a_k = float(np.dot(grid.weights, values * cos_k))
-            b_k = float(np.dot(grid.weights, values * sin_k))
-            u += damp * (a_k * cos_k + b_k * sin_k)
-        return u
+        with np.errstate(over="ignore"):  # mu t beyond the float range damps to 0
+            return mean + filtered_series(values, grid, k_max, trig_modes,
+                                          lambda mu: np.exp(-mu * t))
     if method == KERNEL:
         return apply_kernel(heat_circle(t, l_max=l_max), values, grid)
     raise ValueError(f"unknown method {method!r}")
@@ -119,11 +114,11 @@ def heat_evolve(f: np.ndarray, grid: Grid, t: float, method: str = SPECTRAL,
 def random_trig_sample(grid: Grid, modes: int = 5, seed: int = 0) -> np.ndarray:
     """Seeded random 1-periodic function: constant plus `modes` cos/sin pairs."""
     rng = np.random.default_rng(seed)
-    f = np.full_like(grid.nodes, rng.standard_normal())
-    for k in range(1, modes + 1):
-        f += rng.standard_normal() * PERIODIC_BASIS.cos_mode(k, grid.nodes)
-        f += rng.standard_normal() * PERIODIC_BASIS.sin_mode(k, grid.nodes)
-    return f
+    # the same stream as drawing the constant, then a_k and b_k in turn
+    draws = rng.standard_normal(2 * modes + 1)
+    rows = trig_modes(np.arange(1, modes + 1), grid.nodes)[1]
+    rows *= draws[1:, None]
+    return draws[0] + rows.sum(axis=0)
 
 
 @dataclass(frozen=True)

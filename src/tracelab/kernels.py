@@ -20,6 +20,10 @@ HEAT_LINE = "heat-line"
 HEAT_CIRCLE = "heat-circle"
 TABULATED = "tabulated"
 
+# Cap on the images per side of the periodized heat kernel, which the default
+# truncation reaches near t = 4e4, where the kernel is constant to double precision
+_MAX_IMAGES = 10**4
+
 
 def eval_green(x, y):
     """Green function of -u'' with u(0)=u(1)=0: x(1-y) for x <= y, else y(1-x).
@@ -104,8 +108,9 @@ class KernelSpec:
             if self.t is None or self.t <= 0.0:
                 raise ValueError(f"{self.kind} requires t > 0, got {self.t}")
             if self.kind == HEAT_CIRCLE:
-                if self.l_max is None or self.l_max < 1:
-                    raise ValueError(f"{self.kind} requires l_max >= 1, got {self.l_max}")
+                if self.l_max is None or not 1 <= self.l_max <= _MAX_IMAGES:
+                    raise ValueError(f"{self.kind} at t={self.t} requires 1 <= l_max <= "
+                                     f"{_MAX_IMAGES} images per side, got {self.l_max}")
         elif self.kind == TABULATED:
             if self.values is None or self.grid is None:
                 raise ValueError("tabulated kernel requires values and their grid")

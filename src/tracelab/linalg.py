@@ -57,15 +57,13 @@ class EigenDecomposition:
     vectors: np.ndarray
 
 
-def _first_nonzero_index(column: np.ndarray) -> int:
-    mask = np.abs(column) > 1e-12
-    return int(np.argmax(mask)) if mask.any() else 0
-
-
 def _sorted_decomposition(values: np.ndarray, vectors: np.ndarray) -> EigenDecomposition:
     # ties broken by descending first-nonzero component index, so repeated
-    # eigenvalues come out in a reproducible vector order
-    tiebreak = np.array([-_first_nonzero_index(vectors[:, k]) for k in range(len(values))])
+    # eigenvalues come out in a reproducible vector order.  An all-zero column
+    # counts as 0, argmax cannot reduce the empty axis of a 0x0 matrix, and
+    # the mask stays a temporary so it does not add to the copies' peak memory.
+    tiebreak = (-(np.abs(vectors) > 1e-12).argmax(axis=0) if vectors.size
+                else np.zeros(0, dtype=int))
     order = np.lexsort((tiebreak, -values))
     values = values[order].copy()
     vectors = vectors[:, order].copy()

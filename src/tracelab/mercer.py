@@ -17,7 +17,7 @@ import numpy as np
 from .fileio import write_json
 from .kernels import eval_green
 from .quadrature import Grid, integrate
-from .sturm import DIRICHLET_BASIS
+from .sturm import sine_modes
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,8 @@ def mercer_reconstruct(k_max: int, lattice_n: int) -> MercerReport:
     xs = np.linspace(0.0, 1.0, lattice_n)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     target = eval_green(X, Y)
-    modes = np.stack([DIRICHLET_BASIS.mode(k, xs) for k in range(1, k_max + 1)])
-    lams = np.array([DIRICHLET_BASIS.lam(k) for k in range(1, k_max + 1)])
-    series = (modes.T * lams) @ modes
+    mu, modes = sine_modes(np.arange(1, k_max + 1), xs)
+    series = (modes.T / mu) @ modes
     sup_error = float(np.abs(target - series).max())
     return MercerReport(
         k_max=k_max,
@@ -104,17 +103,10 @@ def trace_chain_check(k_max: int, grid: Grid) -> ExchangeReport:
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
-    if k_max == 0:
-        return ExchangeReport(integral_of_sum=0.0, sum_of_integrals=0.0, diff=0.0)
-    pointwise = np.zeros_like(grid.nodes)
-    term_integrals = []
-    for k in range(1, k_max + 1):
-        mode_sq = DIRICHLET_BASIS.mode(k, grid.nodes) ** 2
-        lam = DIRICHLET_BASIS.lam(k)
-        pointwise += lam * mode_sq
-        term_integrals.append(lam * integrate(mode_sq, grid))
-    integral_of_sum = integrate(pointwise, grid)
-    sum_of_integrals = float(np.sum(np.array(term_integrals)[::-1]))
+    mu, modes = sine_modes(np.arange(1, k_max + 1), grid.nodes)
+    terms = modes**2 / mu[:, None]
+    integral_of_sum = integrate(terms.sum(axis=0), grid)
+    sum_of_integrals = float(np.sum((terms * grid.weights).sum(axis=1)[::-1]))
     return ExchangeReport(
         integral_of_sum=integral_of_sum,
         sum_of_integrals=sum_of_integrals,

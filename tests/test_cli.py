@@ -237,7 +237,8 @@ def _out_of_memory(k_max):
     raise MemoryError("cannot allocate the partial sum")
 
 
-# each used to hang, exit 0 with a wrong answer, or end in a traceback
+# each used to hang, exit 0 with a wrong answer, or end in a traceback;
+# the huge finite values ran without bound before their work was capped
 BAD_INPUTS = [
     (["theta", "--s", "nan"], 2),
     (["heat-trace", "--t", "nan"], 2),
@@ -252,6 +253,13 @@ BAD_INPUTS = [
     (["theta", "--s", "0.5", "--out", "{tmp}/missing/theta.csv"], 2),
     (["--json-config", "{tmp}/missing.json"], 2),
     (["basel", "--kmax", "10000000000"], 1),
+    (["heat-compare", "--t", "1e308", "--n", "16"], 2),
+    (["heat-trace", "--t", "1e300"], 2),
+    (["trace-check", "--kernel", "heat-circle", "--t", "1e300", "--n", "8"], 2),
+    (["heat-compare", "--n", "16", "--lmax", "1000000000000"], 2),
+    (["billiard", "--budget", "1e300"], 2),
+    (["length-spectrum", "--l-max", "1e300"], 2),
+    (["length-spectrum", "--shape", "disc", "--max-bounces", "100000000"], 2),
 ]
 
 

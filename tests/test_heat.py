@@ -14,7 +14,7 @@ from tracelab.heat import (
     trace_sweep_to_csv,
 )
 from tracelab.quadrature import MIDPOINT, TRAPEZOID, integrate, make_grid
-from tracelab.sturm import PERIODIC_BASIS
+from tracelab.sturm import trig_modes
 
 
 def test_theta_large_argument_is_one():
@@ -166,12 +166,14 @@ def test_heat_trace_check_validation():
 
 
 def test_periodic_mode_eigenpairs_used_by_evolution():
-    # evolving an exact cos mode scales it by exp(-mu t)
+    # evolving an exact cos or sin mode scales it by exp(-mu t)
     g = make_grid(MIDPOINT, 128)
-    k, t = 3, 0.02
-    f = PERIODIC_BASIS.cos_mode(k, g.nodes)
-    u = heat_evolve(f, g, t)
-    assert np.abs(u - math.exp(-PERIODIC_BASIS.mu(k) * t) * f).max() < 1e-12
+    t = 0.02
+    mu, rows = trig_modes([3], g.nodes)
+    for m, f in zip(mu, rows):  # cos, then sin
+        for k_max in (None, 3):  # all modes, or the last one kept
+            u = heat_evolve(f, g, t, k_max=k_max)
+            assert np.abs(u - math.exp(-m * t) * f).max() < 1e-12
 
 
 def test_trace_sweep_csv(tmp_path):

@@ -72,8 +72,10 @@ def test_trace_identity_two_by_two():
 
 
 def test_trace_identity_zero_matrix():
-    report = matrix_trace_identity(np.zeros((4, 4)))
-    assert (report.eig_sum, report.diag_sum, report.residual) == (0.0, 0.0, 0.0)
+    for n in (4, 0):
+        report = matrix_trace_identity(np.zeros((n, n)))
+        assert (report.eig_sum, report.diag_sum, report.residual) == (0.0, 0.0, 0.0)
+        assert eigh_eigen(np.zeros((n, n))).values.shape == (n,)
 
 
 def test_trace_identity_random_50():

@@ -6,13 +6,13 @@ import pytest
 from tracelab.kernels import apply_kernel, green_dirichlet
 from tracelab.quadrature import MIDPOINT, TRAPEZOID, Grid, inner_product, make_grid
 from tracelab.sturm import (
-    DIRICHLET_BASIS,
-    PERIODIC_BASIS,
     random_fourier_sum,
     residual_check,
+    sine_modes,
     solution_to_csv,
     solve_direct,
     solve_spectral,
+    trig_modes,
 )
 
 
@@ -25,10 +25,10 @@ def test_solve_direct_constant_load():
 
 def test_solve_direct_sine_modes():
     g = make_grid(TRAPEZOID, 1001)
-    for k in range(1, 6):
-        f = DIRICHLET_BASIS.mode(k, g.nodes)
+    mu, modes = sine_modes(np.arange(1, 6), g.nodes)
+    for m, f in zip(mu, modes):
         u = solve_direct(f, g)
-        assert np.abs(u - DIRICHLET_BASIS.lam(k) * f).max() < 1e-5
+        assert np.abs(u - f / m).max() < 1e-5
 
 
 def test_solve_direct_zero():
@@ -44,9 +44,10 @@ def test_solve_direct_exact_boundary_values():
 
 def test_solve_spectral_single_mode():
     g = make_grid(TRAPEZOID, 1001)
-    f = DIRICHLET_BASIS.mode(3, g.nodes)
-    u = solve_spectral(f, g, 5)
-    assert np.abs(u - f / (9.0 * math.pi**2)).max() < 1e-6
+    f = sine_modes([3], g.nodes)[1][0]
+    for k_max in (3, 5):  # the mode is the last one kept, or an inner one
+        u = solve_spectral(f, g, k_max)
+        assert np.abs(u - f / (9.0 * math.pi**2)).max() < 1e-6
 
 
 def test_solve_spectral_constant_matches_direct():
@@ -59,7 +60,7 @@ def test_solve_spectral_constant_matches_direct():
 
 def test_solve_spectral_orthogonal_mode_truncated_away():
     g = make_grid(TRAPEZOID, 801)
-    f = DIRICHLET_BASIS.mode(2, g.nodes)
+    f = sine_modes([2], g.nodes)[1][0]
     u = solve_spectral(f, g, 1)
     assert np.abs(u).max() < 1e-12
 
@@ -132,33 +133,30 @@ def test_green_kernel_reproduces_solution():
 
 
 def test_basis_inverse_pairs():
-    for k in range(1, 51):
-        assert math.isclose(DIRICHLET_BASIS.lam(k) * DIRICHLET_BASIS.mu(k), 1.0,
-                            rel_tol=1e-15)
-    lams = [DIRICHLET_BASIS.lam(k) for k in range(1, 51)]
+    k = np.arange(1, 51)
+    mu, _ = sine_modes(k, np.linspace(0.0, 1.0, 5))
+    lams = 1.0 / mu
+    for m, lam, kk in zip(mu, lams, k):
+        assert math.isclose(lam * m, 1.0, rel_tol=1e-15)
+        assert math.isclose(m, math.pi**2 * kk**2, rel_tol=1e-15)
     assert all(a > b for a, b in zip(lams, lams[1:]))
     assert lams[-1] > 0.0
 
 
 def test_periodic_basis_eigenvalues():
-    assert PERIODIC_BASIS.mu(0) == 0.0
-    for k in (1, 2, 5):
-        assert math.isclose(PERIODIC_BASIS.mu(k), 4.0 * math.pi**2 * k**2,
-                            rel_tol=1e-15)
-    with pytest.raises(ValueError):
-        PERIODIC_BASIS.lam(0)
+    mu, rows = trig_modes(np.array([0, 1, 2, 5]), np.linspace(0.0, 1.0, 5))
+    assert rows.shape == (8, 5)
+    assert mu[0] == mu[1] == 0.0  # the constant mode: callers take it as the mean
+    for m, k in zip(mu[2:], (1, 1, 2, 2, 5, 5)):  # cos and sin row for each k
+        assert math.isclose(m, 4.0 * math.pi**2 * k**2, rel_tol=1e-15)
 
 
 def test_periodic_modes_orthonormal_on_midpoint_grid():
     g = make_grid(MIDPOINT, 64)
-    fns = [PERIODIC_BASIS.cos_mode(0, g.nodes)]
-    for k in (1, 2, 3):
-        fns.append(PERIODIC_BASIS.cos_mode(k, g.nodes))
-        fns.append(PERIODIC_BASIS.sin_mode(k, g.nodes))
-    for i, fi in enumerate(fns):
-        for j, fj in enumerate(fns):
-            expected = 1.0 if i == j else 0.0
-            assert abs(inner_product(fi, fj, g) - expected) < 1e-13
+    _, rows = trig_modes(np.arange(1, 4), g.nodes)
+    fns = np.vstack((np.ones(g.n), rows))
+    gram = (fns * g.weights) @ fns.T
+    assert np.abs(gram - np.eye(len(fns))).max() < 1e-13
 
 
 def test_solution_csv(tmp_path):
