@@ -3,7 +3,8 @@
 Trajectories are computed event by event from closed-form ray/boundary
 intersections — no time stepping — so the reflection law is testable at
 the 1e-12 level and closed orbits can be certified against the analytic
-length formulas.
+length formulas.  One event loop serves both tables; a per-shape step
+function finds the next wall hit, and the segments form one record array.
 """
 
 from __future__ import annotations
@@ -61,16 +62,13 @@ def disc(radius: float) -> Table:
     return Table(shape=DISC, radius=radius)
 
 
-@dataclass(frozen=True, eq=False)
-class Segment:
-    start: np.ndarray
-    direction: np.ndarray
-    length: float
+# one row per straight piece of a trajectory, in path order
+SEGMENT_DTYPE = np.dtype([("start", float, (2,)), ("direction", float, (2,)), ("length", float)])
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    segments: tuple
+    segments: np.recarray  # SEGMENT_DTYPE rows; segments[-1] ends where the ball stops
     total_length: float
     terminated_by: str
 
@@ -106,49 +104,46 @@ def _validate_rect_start(table: Table, p: np.ndarray, d: np.ndarray) -> None:
         raise ValueError("start on a horizontal wall must point inward")
 
 
-def _simulate_rectangle(table: Table, p: np.ndarray, d: np.ndarray,
-                        budget: float) -> Trajectory:
+def _rectangle_hit(table: Table, p: np.ndarray, d: np.ndarray):
+    """Distance to the wall ahead, the hit point and the reflected direction.
+
+    The direction is None at a corner.  Scalars are Python floats: the same
+    IEEE operations as numpy scalars, but a subnormal direction component
+    gives the right infinite distance without a RuntimeWarning.
+    """
     a, b = table.a, table.b
-    corners = np.array([[0.0, 0.0], [a, 0.0], [0.0, b], [a, b]])
-    segments = []
-    spent = 0.0
-    while True:
-        remaining = budget - spent
-        # distance to the wall ahead on each axis
-        if d[0] > 0.0:
-            tx, wall_x = (a - p[0]) / d[0], a
-        elif d[0] < 0.0:
-            tx, wall_x = -p[0] / d[0], 0.0
-        else:
-            tx, wall_x = math.inf, None
-        if d[1] > 0.0:
-            ty, wall_y = (b - p[1]) / d[1], b
-        elif d[1] < 0.0:
-            ty, wall_y = -p[1] / d[1], 0.0
-        else:
-            ty, wall_y = math.inf, None
-        t_hit = float(min(tx, ty))
-        if t_hit >= remaining:
-            segments.append(Segment(start=p, direction=d, length=remaining))
-            spent += remaining
-            return Trajectory(segments=tuple(segments), total_length=spent,
-                              terminated_by=LENGTH_BUDGET)
-        q = p + t_hit * d
-        if tx <= ty:
-            q[0] = wall_x  # snap onto the wall to stop drift
-        if ty <= tx:
-            q[1] = wall_y
-        segments.append(Segment(start=p, direction=d, length=t_hit))
-        spent += t_hit
-        if np.min(np.linalg.norm(corners - q, axis=1)) <= CORNER_TOL:
-            return Trajectory(segments=tuple(segments), total_length=spent,
-                              terminated_by=CORNER_HIT)
-        d = d.copy()
-        if tx <= ty:
-            d[0] = -d[0]
-        if ty <= tx:
-            d[1] = -d[1]
-        p = q
+    (px, py), (dx, dy) = p.tolist(), d.tolist()
+    # distance to the wall ahead on each axis
+    if dx > 0.0:
+        tx, wall_x = (a - px) / dx, a
+    elif dx < 0.0:
+        tx, wall_x = -px / dx, 0.0
+    else:
+        tx, wall_x = math.inf, None
+    if dy > 0.0:
+        ty, wall_y = (b - py) / dy, b
+    elif dy < 0.0:
+        ty, wall_y = -py / dy, 0.0
+    else:
+        ty, wall_y = math.inf, None
+    t_hit = min(tx, ty)
+    q = p + t_hit * d
+    if tx <= ty:
+        q[0] = wall_x  # snap onto the wall to stop drift
+    if ty <= tx:
+        q[1] = wall_y
+    # distance to the nearest corner: rounding is monotone, so the nearer
+    # wall on each axis gives the same minimum as all four corner distances
+    qx, qy = q.tolist()
+    corner = math.sqrt(min(qx * qx, (a - qx) * (a - qx)) + min(qy * qy, (b - qy) * (b - qy)))
+    if corner <= CORNER_TOL:
+        return t_hit, q, None
+    d = d.copy()
+    if tx <= ty:
+        d[0] = -d[0]
+    if ty <= tx:
+        d[1] = -d[1]
+    return t_hit, q, d
 
 
 def _validate_disc_start(table: Table, p: np.ndarray, d: np.ndarray) -> None:
@@ -160,30 +155,19 @@ def _validate_disc_start(table: Table, p: np.ndarray, d: np.ndarray) -> None:
             raise ValueError("start on the circle must point inward")
 
 
-def _simulate_disc(table: Table, p: np.ndarray, d: np.ndarray,
-                   budget: float) -> Trajectory:
+def _disc_hit(table: Table, p: np.ndarray, d: np.ndarray):
+    """Distance to the circle ahead, the hit point and the reflected direction."""
     radius = table.radius
-    segments = []
-    spent = 0.0
-    while True:
-        remaining = budget - spent
-        # positive root of |p + t d|^2 = R^2
-        beta = float(p @ d)
-        gamma = float(p @ p) - radius * radius
-        t_hit = float(-beta + math.sqrt(max(beta * beta - gamma, 0.0)))
-        if t_hit >= remaining:
-            segments.append(Segment(start=p, direction=d, length=remaining))
-            spent += remaining
-            return Trajectory(segments=tuple(segments), total_length=spent,
-                              terminated_by=LENGTH_BUDGET)
-        q = p + t_hit * d
-        q *= radius / float(np.linalg.norm(q))  # snap onto the circle
-        segments.append(Segment(start=p, direction=d, length=t_hit))
-        spent += t_hit
-        normal = q / radius
-        d = d - 2.0 * float(d @ normal) * normal
-        d /= float(np.linalg.norm(d))
-        p = q
+    # positive root of |p + t d|^2 = R^2
+    beta = float(p @ d)
+    gamma = float(p @ p) - radius * radius
+    t_hit = float(-beta + math.sqrt(max(beta * beta - gamma, 0.0)))
+    q = p + t_hit * d
+    q *= radius / float(np.linalg.norm(q))  # snap onto the circle
+    normal = q / radius
+    d = d - 2.0 * float(d @ normal) * normal
+    d /= float(np.linalg.norm(d))
+    return t_hit, q, d
 
 
 def simulate(table: Table, start, direction, length_budget: float) -> Trajectory:
@@ -204,24 +188,40 @@ def simulate(table: Table, start, direction, length_budget: float) -> Trajectory
         _validate_rect_start(table, p, d)
         # along the unfolded line, walls are a/|dx| and b/|dy| apart
         bounces = length_budget * (abs(d[0]) / table.a + abs(d[1]) / table.b)
-        run = _simulate_rectangle
+        hit = _rectangle_hit
     else:
         _validate_disc_start(table, p, d)
         # the impact parameter |p x d| is conserved, so all chords are equal
         impact = float(p[0] * d[1] - p[1] * d[0])
         chord = 2.0 * math.sqrt(max(table.radius**2 - impact**2, 0.0))
         bounces = length_budget / chord if chord > 0.0 else math.inf
-        run = _simulate_disc
+        hit = _disc_hit
     if bounces > _MAX_SEGMENTS:
         raise ValueError(f"length budget {length_budget} needs about {bounces:.3g} "
                          f"bounces; the cap is {_MAX_SEGMENTS}")
-    return run(table, p, d, length_budget)
+    rows = []
+    spent = 0.0
+    terminated_by = LENGTH_BUDGET
+    while True:
+        remaining = length_budget - spent
+        t_hit, q, reflected = hit(table, p, d)
+        length = min(t_hit, remaining)
+        rows.append((p, d, length))
+        spent += length
+        if t_hit >= remaining:
+            break
+        if reflected is None:
+            terminated_by = CORNER_HIT
+            break
+        p, d = q, reflected
+    return Trajectory(segments=np.rec.array(rows, dtype=SEGMENT_DTYPE), total_length=spent,
+                      terminated_by=terminated_by)
 
 
-def trajectory_end(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """Final position and direction of a trajectory."""
-    last = traj.segments[-1]
-    return last.start + last.length * last.direction, last.direction
+def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # row by row the same BLAS dot as u[i] @ v[i] and np.linalg.norm, so
+    # the results match the one-segment-at-a-time arithmetic bit for bit
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
 
 
 def is_closed(traj: Trajectory, start, direction, tol: float = 1e-9):
@@ -235,19 +235,19 @@ def is_closed(traj: Trajectory, start, direction, tol: float = 1e-9):
         raise ValueError(f"tolerance must be positive, got {tol}")
     p0 = np.asarray(start, dtype=float)
     d0 = _unit(direction)
-    cumulative = 0.0
-    for seg in traj.segments:
-        along = float((p0 - seg.start) @ seg.direction)
-        if -tol <= along <= seg.length + tol:
-            along = min(max(along, 0.0), seg.length)
-            point = seg.start + along * seg.direction
-            if (np.linalg.norm(point - p0) <= tol
-                    and np.linalg.norm(seg.direction - d0) <= tol):
-                length = cumulative + along
-                if length > tol:
-                    return ClosedOrbit(length=float(length))
-        cumulative += seg.length
-    return None
+    seg = traj.segments
+    along = _row_dot(p0 - seg.start, seg.direction)
+    within = (along >= -tol) & (along <= seg.length + tol)
+    along = np.minimum(np.maximum(along, 0.0), seg.length)
+    offset = seg.start + along[:, None] * seg.direction - p0
+    turn = seg.direction - d0
+    # arc length before each segment, summed in path order like a running total
+    length = np.concatenate(([0.0], np.cumsum(seg.length[:-1]))) + along
+    found = np.flatnonzero(within
+                           & (np.sqrt(_row_dot(offset, offset)) <= tol)
+                           & (np.sqrt(_row_dot(turn, turn)) <= tol)
+                           & (length > tol))
+    return ClosedOrbit(length=float(length[found[0]])) if len(found) else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,7 +261,7 @@ class LengthSpectrum:
     """
 
     lengths: np.ndarray
-    descriptors: tuple
+    descriptors: np.ndarray  # (m, 2) ints, one row per length
 
 
 def length_spectrum(table: Table, l_max: float, max_bounces: int = 64) -> LengthSpectrum:
@@ -311,13 +311,14 @@ def length_spectrum(table: Table, l_max: float, max_bounces: int = 64) -> Length
             continue
         lengths.append(length)
         descriptors.append(descriptor)
-    return LengthSpectrum(lengths=np.array(lengths), descriptors=tuple(descriptors))
+    return LengthSpectrum(lengths=np.array(lengths),
+                          descriptors=np.array(descriptors, dtype=int).reshape(-1, 2))
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
-    rows = [(i, s.start[0], s.start[1], s.direction[0], s.direction[1], s.length)
-            for i, s in enumerate(traj.segments)]
-    write_csv(path, ("segment", "start_x", "start_y", "dir_x", "dir_y", "length"), rows)
+    s = traj.segments
+    write_csv(path, ("segment", "start_x", "start_y", "dir_x", "dir_y", "length"),
+              zip(range(len(s)), *s.start.T, *s.direction.T, s.length))
 
 
 def spectrum_to_csv(spectrum: LengthSpectrum, path) -> None:

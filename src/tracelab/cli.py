@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -78,9 +79,7 @@ def _cmd_trace_check(args):
     report = nystrom.trace_formula_check(spec, grid)
     return (f"trace-check kernel={args.kernel} n={grid.n}: "
             f"eig_sum={report.eig_sum!r} diag_integral={report.diag_integral!r} "
-            f"residual={report.residual:.3e}",
-            {"eig_sum": report.eig_sum, "diag_integral": report.diag_integral,
-             "residual": report.residual}, None)
+            f"residual={report.residual:.3e}", asdict(report), None)
 
 
 def _cmd_spectrum(args):
@@ -107,16 +106,13 @@ def _cmd_mercer(args):
     report = mercer.mercer_reconstruct(args.kmax, args.lattice_n)
     return (f"mercer kmax={report.k_max} lattice={args.lattice_n}: "
             f"sup_error={report.sup_error:.6e} tail_bound={report.tail_bound:.6e}",
-            {"k_max": report.k_max, "sup_error": report.sup_error,
-             "tail_bound": report.tail_bound, "partial_basel": report.partial_basel,
-             "basel_target": report.basel_target}, None)
+            asdict(report), None)
 
 
 def _cmd_basel(args):
     report = mercer.basel_via_trace(args.kmax)
     return (f"basel kmax={args.kmax}: partial_sum={report.lhs!r} "
-            f"target={report.rhs!r} gap={report.gap:.6e}",
-            {"lhs": report.lhs, "rhs": report.rhs, "gap": report.gap}, None)
+            f"target={report.rhs!r} gap={report.gap:.6e}", asdict(report), None)
 
 
 def _cmd_bvp_compare(args):
@@ -145,9 +141,7 @@ def _cmd_theta(args):
     residual = heat.theta_transform_residual(args.s)
     return (f"theta s={args.s}: value={evaluation.value!r} k_used={evaluation.k_used} "
             f"transform_residual={residual:.3e}",
-            {"s": args.s, "value": evaluation.value, "k_used": evaluation.k_used,
-             "tail_estimate": evaluation.tail_estimate,
-             "transform_residual": residual}, None)
+            asdict(evaluation) | {"transform_residual": residual}, None)
 
 
 def _cmd_heat_compare(args):
@@ -211,8 +205,7 @@ def _cmd_length_spectrum(args):
     shortest = float(spectrum.lengths[0]) if len(spectrum.lengths) else None
     return (f"length-spectrum {args.shape} l_max={args.l_max}: "
             f"count={len(spectrum.lengths)} shortest={shortest!r}",
-            {"lengths": spectrum.lengths,
-             "descriptors": [list(d) for d in spectrum.descriptors]},
+            {"lengths": spectrum.lengths, "descriptors": spectrum.descriptors},
             lambda path: billiard.spectrum_to_csv(spectrum, path))
 
 
@@ -229,12 +222,9 @@ def _cmd_wave_trace(args):
     lengths = billiard.length_spectrum(billiard.rectangle(args.a, args.b),
                                        args.t_max)
     keep = lengths.lengths >= args.t_min
-    scanned = billiard.LengthSpectrum(
-        lengths=lengths.lengths[keep],
-        descriptors=tuple(d for d, k in zip(lengths.descriptors, keep) if k),
-    )
+    scanned = billiard.LengthSpectrum(lengths.lengths[keep], lengths.descriptors[keep])
     report = wavetrace.compare_lengths(peaks, scanned, args.tol)
-    record = wavetrace.match_record(report) | {
+    record = asdict(report) | {
         "a": args.a, "b": args.b, "sigma": args.sigma, "mu_max": mu_max,
         "eigenvalue_count": len(spectrum.eigenvalues), "peaks": list(peaks),
     }

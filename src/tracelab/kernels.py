@@ -157,9 +157,17 @@ class KernelSpec:
         return float(out[0]) if scalar else out
 
     def matrix(self, grid: Grid) -> np.ndarray:
-        """Kernel sampled at all node pairs of the given grid."""
+        """Kernel sampled at all node pairs of the given grid.
+
+        Heat kernels narrower than the grid are refused: below a standard
+        deviation sqrt(2t) of one node spacing the samples no longer
+        represent the kernel, and spectral and kernel heat flow part ways.
+        """
         if self.kind == TABULATED and np.array_equal(grid.nodes, self.grid.nodes):
             return self.values
+        if self.kind in (HEAT_LINE, HEAT_CIRCLE) and math.sqrt(2.0 * self.t) < grid.spacing:
+            raise ValueError(f"{self.kind} kernel at t={self.t} is narrower than the grid "
+                             f"spacing {grid.spacing:.3g}; needs t >= spacing^2 / 2")
         X, Y = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
         return np.asarray(self.evaluate(X, Y))
 

@@ -10,7 +10,7 @@ partial sums of 1/k^2 converging to pi^2/6.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -115,10 +115,4 @@ def trace_chain_check(k_max: int, grid: Grid) -> ExchangeReport:
 
 
 def report_to_json(report: MercerReport, path) -> None:
-    write_json(path, {
-        "k_max": report.k_max,
-        "sup_error": report.sup_error,
-        "tail_bound": report.tail_bound,
-        "partial_basel": report.partial_basel,
-        "basel_target": report.basel_target,
-    })
+    write_json(path, asdict(report))

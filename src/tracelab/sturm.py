@@ -25,6 +25,9 @@ from .quadrature import Grid, _check_sampled
 # 2**18 float64 samples are 2 MiB; such blocks were faster than 16 MiB ones
 # (17 ms against 22 ms for n = 2001, k_max = 500)
 _BLOCK_VALUES = 2**18
+# Work cap on n * k_max, checked before the work starts: 5e7 mode samples
+# take about 1 s
+_MAX_MODE_VALUES = 10**8
 
 
 def sine_modes(k, x) -> tuple[np.ndarray, np.ndarray]:
@@ -56,6 +59,9 @@ def filtered_series(values: np.ndarray, grid: Grid, k_max: int, modes, gain) -> 
     matrix products: with two OpenBLAS threads a matrix product raised the
     CPU time of bvp-compare by half, at equal wall time.
     """
+    if grid.n * k_max > _MAX_MODE_VALUES:
+        raise ValueError(f"n={grid.n} and k_max={k_max} need {grid.n * k_max:.3g} sampled "
+                         f"mode values; the cap is {_MAX_MODE_VALUES:.0e}")
     weighted = grid.weights * values
     step = max(1, _BLOCK_VALUES // (2 * grid.n))  # trig_modes gives two rows per index
     u = np.zeros_like(values)

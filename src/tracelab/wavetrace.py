@@ -10,7 +10,7 @@ the billiard length spectrum, which is the geometric side of the story.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -167,13 +167,5 @@ def signal_to_csv(signal: TraceSignal, path) -> None:
     write_csv(path, ("t", "value"), zip(signal.t_grid, signal.values))
 
 
-def match_record(report: LengthMatchReport) -> dict:
-    return {
-        "matched": [list(pair) for pair in report.matched],
-        "missed": list(report.missed),
-        "spurious": list(report.spurious),
-    }
-
-
 def match_report_to_json(report: LengthMatchReport, path, extra: dict | None = None) -> None:
-    write_json(path, match_record(report) | (extra or {}))
+    write_json(path, asdict(report) | (extra or {}))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tracelab.billiard import (
     CORNER_HIT,
@@ -12,7 +14,6 @@ from tracelab.billiard import (
     rectangle,
     simulate,
     spectrum_to_csv,
-    trajectory_end,
     trajectory_to_csv,
 )
 
@@ -84,8 +85,8 @@ def test_corner_hit_terminates():
     table = rectangle(1.0, 1.0)
     traj = simulate(table, (0.25, 0.25), (1.0 / SQRT2, 1.0 / SQRT2), 10.0)
     assert traj.terminated_by == CORNER_HIT
-    end, _ = trajectory_end(traj)
-    assert np.allclose(end, [1.0, 1.0], atol=1e-12)
+    last = traj.segments[-1]
+    assert np.allclose(last.start + last.length * last.direction, [1.0, 1.0], atol=1e-12)
 
 
 def test_invalid_starts():
@@ -178,23 +179,75 @@ def test_irrational_slope_never_closes():
     assert is_closed(traj, start, direction) is None
 
 
-def test_reversibility():
-    table = rectangle(1.0, 1.0)
-    traj = simulate(table, (0.312, 0.47), (0.8, 0.6), 9.0)
-    end, end_dir = trajectory_end(traj)
-    back = simulate(table, end, -end_dir, 9.0)
-    forward_bounces = [seg.start for seg in traj.segments[1:]]
-    backward_bounces = [seg.start for seg in back.segments[1:]]
-    assert len(forward_bounces) == len(backward_bounces)
-    for f, b in zip(forward_bounces, reversed(backward_bounces)):
-        assert np.abs(f - b).max() < 1e-9
+SIZES = st.floats(min_value=0.5, max_value=2.0)
+FRACTIONS = st.floats(min_value=0.01, max_value=0.99)
+ANGLES = st.floats(min_value=0.0, max_value=2.0 * math.pi)
+
+
+def closed_length_by_loop(traj, start, direction, tol):
+    """Reference for is_closed: the segment-by-segment scan it replaced."""
+    p0 = np.asarray(start, dtype=float)
+    d0 = np.asarray(direction, dtype=float)
+    d0 = d0 / float(np.linalg.norm(d0))
+    cumulative = 0.0
+    for seg in traj.segments:
+        along = float((p0 - seg.start) @ seg.direction)
+        if -tol <= along <= seg.length + tol:
+            along = min(max(along, 0.0), seg.length)
+            point = seg.start + along * seg.direction
+            if (np.linalg.norm(point - p0) <= tol
+                    and np.linalg.norm(seg.direction - d0) <= tol
+                    and cumulative + along > tol):
+                return float(cumulative + along)
+        cumulative += seg.length
+    return None
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(a=SIZES, b=SIZES, u=FRACTIONS, v=FRACTIONS,
+       p=st.integers(min_value=-3, max_value=3), q=st.integers(min_value=-3, max_value=3),
+       tol=st.sampled_from([1e-9, 1e-6, 1e-3]))
+def test_is_closed_matches_segment_loop(a, b, u, v, p, q, tol):
+    # winding directions (p a, q b) close after 2 |(p a, q b)|, unless a corner intervenes
+    assume((p, q) != (0, 0))
+    raw = np.array([p * a, q * b])
+    direction = raw / np.linalg.norm(raw)
+    start = (u * a, v * b)
+    traj = simulate(rectangle(a, b), start, direction, 2.0 * np.linalg.norm(raw) + 1.0)
+    orbit = is_closed(traj, start, direction, tol)
+    assert (orbit and orbit.length) == closed_length_by_loop(traj, start, direction, tol)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(is_disc=st.booleans(), a=SIZES, b=SIZES, u=FRACTIONS, v=FRACTIONS, angle=ANGLES,
+       budget=st.floats(min_value=0.5, max_value=200.0))
+def test_reversibility(is_disc, a, b, u, v, angle, budget):
+    # disc: radius a, start at radius u a and polar angle 2 pi v;
+    # rectangle: a x b, start at (u a, v b)
+    if is_disc:
+        table = disc(a)
+        start = u * a * np.array([math.cos(2.0 * math.pi * v), math.sin(2.0 * math.pi * v)])
+    else:
+        table = rectangle(a, b)
+        start = np.array([u * a, v * b])
+    forward = simulate(table, start, (math.cos(angle), math.sin(angle)), budget)
+    assume(forward.terminated_by == LENGTH_BUDGET)
+    last = forward.segments[-1]
+    back = simulate(table, last.start + last.length * last.direction, -last.direction, budget)
+    assume(back.terminated_by == LENGTH_BUDGET)
+    assert len(back.segments) == len(forward.segments)
+    bounces = forward.segments.start[1:]
+    assert np.abs(bounces - back.segments.start[1:][::-1]).max(initial=0.0) <= 1e-9
+    end = back.segments[-1]
+    assert np.abs(end.start + end.length * end.direction - start).max() <= 1e-9
 
 
 def test_unit_square_length_spectrum():
     spectrum = length_spectrum(rectangle(1.0, 1.0), 6.0)
     expected = 2.0 * np.sqrt([1.0, 2.0, 4.0, 5.0, 8.0, 9.0])
     assert np.allclose(spectrum.lengths, expected, atol=1e-12)
-    assert spectrum.descriptors[0] in ((0, 1), (1, 0))
+    assert spectrum.descriptors.shape == (len(spectrum.lengths), 2)
+    assert tuple(spectrum.descriptors[0]) in ((0, 1), (1, 0))
 
 
 def test_disc_length_spectrum_contains_polygons():

@@ -88,6 +88,14 @@ def test_heat_compare(capsys, tmp_path):
     assert out_path.read_text().splitlines()[0] == "node,f,u_spectral,u_kernel"
 
 
+def test_heat_kernel_just_wider_than_the_grid_is_accepted(capsys):
+    # sqrt(2t) just above the spacing 1/16; the two methods agree to about 2e-4
+    t = (1.0 / 16) ** 2 / 2.0 * (1.0 + 1e-9)
+    code, out, _ = run(capsys, "heat-compare", "--t", repr(t), "--n", "16")
+    assert code == 0
+    assert float(out.split("sup_diff=")[1]) < 1e-3
+
+
 def test_heat_trace_sweep(capsys, tmp_path):
     out_path = tmp_path / "sweep.csv"
     code, out, _ = run(capsys, "heat-trace", "--t", "0.05,0.1,0.5",
@@ -116,6 +124,17 @@ def test_billiard_negative_direction_components(capsys):
     assert code == 0
     assert "closed_at=" in out  # inscribed-square orbit, length 4 sqrt(2)
     assert abs(float(out.split("closed_at=")[1]) - 4.0 * 2.0**0.5) < 1e-9
+
+
+def test_subnormal_direction_runs_without_warning():
+    # the wall distance along the 1e-320 component overflows to inf, the right value
+    result = subprocess.run(
+        [sys.executable, "-m", "tracelab.cli", "billiard", "--dir", "1", "1e-320",
+         "--budget", "3"],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0
+    assert result.stderr == ""
 
 
 def test_length_spectrum_square(capsys, tmp_path):
@@ -260,6 +279,10 @@ BAD_INPUTS = [
     (["billiard", "--budget", "1e300"], 2),
     (["length-spectrum", "--l-max", "1e300"], 2),
     (["length-spectrum", "--shape", "disc", "--max-bounces", "100000000"], 2),
+    (["bvp-compare", "--n", "100001", "--kmax", "100000", "--trials", "1"], 2),
+    (["heat-compare", "--t", "1e-310", "--n", "16"], 2),
+    (["trace-check", "--kernel", "heat-circle", "--t", "1e-310", "--n", "8"], 2),
+    (["heat-compare", "--t", "1e-7", "--n", "512"], 2),
 ]
 
 

@@ -182,6 +182,15 @@ def test_kernel_spec_validation():
         tabulated(lopsided, g)
 
 
+@pytest.mark.parametrize("make", [heat_line, heat_circle])
+def test_heat_matrix_refuses_kernels_narrower_than_the_grid(make):
+    g = make_grid(MIDPOINT, 16)
+    t = g.spacing**2 / 2.0  # standard deviation sqrt(2t) equal to the spacing
+    assert np.all(np.isfinite(make(t * (1.0 + 1e-9)).matrix(g)))
+    with pytest.raises(ValueError, match="spacing"):
+        make(t / 2.0).matrix(g)
+
+
 def test_tabulated_interpolation_between_nodes():
     g = make_grid(TRAPEZOID, 11)
     spec_exact = green_dirichlet()

@@ -158,9 +158,7 @@ def test_square_peaks_match_orbit_lengths():
     peaks = detect_peaks(signal, 25)
     lengths = length_spectrum(rectangle(1.0, 1.0), 6.2)
     keep = lengths.lengths >= 1.5
-    scanned = LengthSpectrum(lengths=lengths.lengths[keep],
-                             descriptors=tuple(
-                                 d for d, k in zip(lengths.descriptors, keep) if k))
+    scanned = LengthSpectrum(lengths.lengths[keep], lengths.descriptors[keep])
     report = compare_lengths(peaks, scanned, 0.1)
     assert report.missed == ()
     assert report.spurious == ()
