@@ -14,10 +14,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import sturm
 from .fileio import write_json
 from .kernels import eval_green
 from .quadrature import Grid, integrate
-from .sturm import sine_modes
 
 
 @dataclass(frozen=True)
@@ -42,17 +42,26 @@ def mercer_reconstruct(k_max: int, lattice_n: int) -> MercerReport:
 
     sup_error is the max over a lattice_n x lattice_n uniform lattice of
     the absolute truncation error; since the modes are bounded by sqrt(2),
-    the dropped tail is pointwise at most 2/(pi^2 k_max).
+    the dropped tail is pointwise at most 2/(pi^2 k_max).  The series is
+    accumulated over blocks of at most sturm._BLOCK_VALUES mode samples,
+    and k_max * lattice_n is capped at sturm._MAX_MODE_VALUES.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     if lattice_n < 2:
         raise ValueError(f"lattice_n must be >= 2, got {lattice_n}")
+    if k_max * lattice_n > sturm._MAX_MODE_VALUES:
+        raise ValueError(f"k_max={k_max} and lattice_n={lattice_n} need "
+                         f"{k_max * lattice_n:.3g} sampled mode values; "
+                         f"the cap is {sturm._MAX_MODE_VALUES:.0e}")
     xs = np.linspace(0.0, 1.0, lattice_n)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     target = eval_green(X, Y)
-    mu, modes = sine_modes(np.arange(1, k_max + 1), xs)
-    series = (modes.T / mu) @ modes
+    step = max(1, sturm._BLOCK_VALUES // lattice_n)
+    series = np.zeros_like(target)
+    for first in range(1, k_max + 1, step):
+        mu, modes = sturm.sine_modes(np.arange(first, min(first + step, k_max + 1)), xs)
+        series += (modes.T / mu) @ modes
     sup_error = float(np.abs(target - series).max())
     return MercerReport(
         k_max=k_max,
@@ -103,7 +112,7 @@ def trace_chain_check(k_max: int, grid: Grid) -> ExchangeReport:
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
-    mu, modes = sine_modes(np.arange(1, k_max + 1), grid.nodes)
+    mu, modes = sturm.sine_modes(np.arange(1, k_max + 1), grid.nodes)
     terms = modes**2 / mu[:, None]
     integral_of_sum = integrate(terms.sum(axis=0), grid)
     sum_of_integrals = float(np.sum((terms * grid.weights).sum(axis=1)[::-1]))

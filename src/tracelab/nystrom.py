@@ -15,7 +15,7 @@ import numpy as np
 
 from .fileio import write_csv
 from .kernels import KernelSpec, diagonal_trace
-from .linalg import EigenDecomposition, SymMatrix, eigh_eigen, jacobi_eigen
+from .linalg import SymMatrix, eigh_eigen, jacobi_eigen
 from .quadrature import Grid
 
 # above this size the cyclic Jacobi sweeps get slow; hand off to LAPACK
@@ -35,14 +35,12 @@ def discretize(spec: KernelSpec, grid: Grid) -> SymMatrix:
     return SymMatrix(entries=kmat * np.outer(s, s))
 
 
-def _decompose(matrix: SymMatrix, eigensolver: str) -> EigenDecomposition:
+def _use_jacobi(matrix: SymMatrix, eigensolver: str) -> bool:
     if eigensolver == "auto":
-        eigensolver = "jacobi" if matrix.n <= JACOBI_SIZE_LIMIT else "eigh"
-    if eigensolver == "jacobi":
-        return jacobi_eigen(matrix)
-    if eigensolver == "eigh":
-        return eigh_eigen(matrix)
-    raise ValueError(f"unknown eigensolver {eigensolver!r}")
+        return matrix.n <= JACOBI_SIZE_LIMIT
+    if eigensolver not in ("jacobi", "eigh"):
+        raise ValueError(f"unknown eigensolver {eigensolver!r}")
+    return eigensolver == "jacobi"
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,17 +68,12 @@ def operator_spectrum(spec: KernelSpec, grid: Grid, count: int,
     if count < 1 or count > grid.n:
         raise ValueError(f"count must be in [1, {grid.n}], got {count}")
     matrix = discretize(spec, grid)
-    decomposition = _decompose(matrix, eigensolver)
+    decomposition = (jacobi_eigen if _use_jacobi(matrix, eigensolver) else eigh_eigen)(matrix)
     order = np.argsort(-np.abs(decomposition.values), kind="stable")[:count]
     values = decomposition.values[order]
-    s = np.sqrt(grid.weights)
-    functions = np.empty((count, grid.n))
-    for row, k in enumerate(order):
-        f = decomposition.vectors[:, k] / s
-        anchor = int(np.argmax(np.abs(f)))
-        if f[anchor] < 0.0:
-            f = -f
-        functions[row] = f
+    functions = decomposition.vectors[:, order].T / np.sqrt(grid.weights)
+    anchors = functions[np.arange(count), np.abs(functions).argmax(axis=1)]
+    functions[anchors < 0.0] *= -1.0
     return OperatorSpectrum(eigenvalues=values, eigenfunctions=functions, grid=grid)
 
 
@@ -98,10 +91,15 @@ def trace_formula_check(spec: KernelSpec, grid: Grid,
     The two sides agree exactly through the matrix trace, so the residual
     measures only eigensolver round-off; the interesting quantity is how
     fast diag_integral converges to the continuum value as the grid refines.
+    Only eigenvalues are computed: Jacobi values-only up to
+    JACOBI_SIZE_LIMIT, LAPACK eigvalsh above it.
     """
     matrix = discretize(spec, grid)
-    decomposition = _decompose(matrix, eigensolver)
-    eig_sum = float(np.sum(decomposition.values))
+    if _use_jacobi(matrix, eigensolver):
+        values = jacobi_eigen(matrix, values_only=True)
+    else:
+        values = np.linalg.eigvalsh(matrix.entries)[::-1]
+    eig_sum = float(np.sum(values))
     diag_integral = diagonal_trace(spec, grid)
     return TraceFormulaReport(eig_sum=eig_sum, diag_integral=diag_integral,
                               residual=abs(eig_sum - diag_integral))

@@ -283,6 +283,7 @@ BAD_INPUTS = [
     (["heat-compare", "--t", "1e-310", "--n", "16"], 2),
     (["trace-check", "--kernel", "heat-circle", "--t", "1e-310", "--n", "8"], 2),
     (["heat-compare", "--t", "1e-7", "--n", "512"], 2),
+    (["mercer", "--kmax", "10000000", "--lattice-n", "101"], 2),
 ]
 
 

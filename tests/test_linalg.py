@@ -5,6 +5,7 @@ import pytest
 
 from tracelab.linalg import (
     EigenDecomposition,
+    NumericalError,
     SymMatrix,
     eigh_eigen,
     jacobi_eigen,
@@ -37,6 +38,9 @@ def test_identity_matrix():
 def test_already_diagonal_sorted():
     d = jacobi_eigen(np.diag([5.0, -1.0, 0.0]))
     assert np.allclose(d.values, [5.0, 0.0, -1.0], atol=0)
+    values = jacobi_eigen(np.diag([5.0, -1.0, 0.0]), values_only=True)
+    assert np.array_equal(values, [5.0, 0.0, -1.0])
+    assert not values.flags.writeable
 
 
 def test_rejects_nonfinite():
@@ -153,3 +157,13 @@ def test_jacobi_agrees_with_lapack():
     dj = jacobi_eigen(a)
     de = eigh_eigen(a)
     assert np.abs(dj.values - de.values).max() < 1e-10
+
+
+def test_sweep_limit_raises_numerical_error():
+    rng = np.random.default_rng(30)
+    a = random_symmetric(rng, 30)
+    with pytest.raises(NumericalError, match="after 1"):
+        jacobi_eigen(a, max_sweeps=1)
+    with pytest.raises(NumericalError):
+        jacobi_eigen(a, max_sweeps=1, values_only=True)
+    assert jacobi_eigen(a).values.shape == (30,)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from tracelab import sturm
 from tracelab.kernels import eval_green, green_dirichlet
 from tracelab.mercer import (
     basel_via_trace,
@@ -129,3 +130,18 @@ def test_report_json(tmp_path):
                             "basel_target"}
     assert payload["k_max"] == 10
     assert payload["basel_target"] == pytest.approx(math.pi**2 / 6.0, rel=1e-15)
+
+
+def test_blocked_reconstruction_matches_one_block(monkeypatch):
+    whole = mercer_reconstruct(300, 41)
+    monkeypatch.setattr(sturm, "_BLOCK_VALUES", 41 * 7)  # 43 blocks of 7 modes
+    blocked = mercer_reconstruct(300, 41)
+    assert abs(blocked.sup_error - whole.sup_error) <= 1e-15
+    assert blocked.sup_error <= blocked.tail_bound
+
+
+def test_reconstruction_refuses_more_mode_samples_than_the_cap(monkeypatch):
+    monkeypatch.setattr(sturm, "_MAX_MODE_VALUES", 1000)
+    assert mercer_reconstruct(100, 10).k_max == 100
+    with pytest.raises(ValueError, match="cap"):
+        mercer_reconstruct(101, 10)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tracelab.kernels import green_dirichlet, heat_circle, tabulated
+from tracelab.linalg import eigh_eigen, jacobi_eigen
 from tracelab.nystrom import (
     discretize,
     operator_spectrum,
@@ -138,14 +139,44 @@ def test_eigenvalue_convergence_under_refinement():
 
 
 def test_eigensolvers_agree():
+    # values-only Jacobi against LAPACK eigvalsh, odd and even n; the random
+    # tabulated kernel is indefinite, so no eigenvalue is negligible
+    rng = np.random.default_rng(6)
+    table = rng.uniform(-1.0, 1.0, (40, 40))
+    for spec, n in ((green_dirichlet(), 101), (heat_circle(0.05), 63),
+                    (tabulated(table + table.T, make_grid(TRAPEZOID, 40)), 40)):
+        g = make_grid(TRAPEZOID, n)
+        jac = trace_formula_check(spec, g, eigensolver="jacobi")
+        lap = trace_formula_check(spec, g, eigensolver="eigh")
+        assert abs(jac.eig_sum - lap.eig_sum) < 1e-12
+        assert max(jac.residual, lap.residual) < 1e-12
     g = make_grid(TRAPEZOID, 101)
-    spec = green_dirichlet()
-    jac = trace_formula_check(spec, g, eigensolver="jacobi")
-    lap = trace_formula_check(spec, g, eigensolver="eigh")
-    assert abs(jac.eig_sum - lap.eig_sum) < 1e-12
-    vals_j = operator_spectrum(spec, g, 10, eigensolver="jacobi").eigenvalues
-    vals_e = operator_spectrum(spec, g, 10, eigensolver="eigh").eigenvalues
+    vals_j = operator_spectrum(green_dirichlet(), g, 10, eigensolver="jacobi").eigenvalues
+    vals_e = operator_spectrum(green_dirichlet(), g, 10, eigensolver="eigh").eigenvalues
     assert np.abs(vals_j - vals_e).max() < 1e-12
+
+
+def test_unknown_eigensolver_rejected():
+    g = make_grid(TRAPEZOID, 11)
+    with pytest.raises(ValueError, match="unknown eigensolver"):
+        trace_formula_check(green_dirichlet(), g, eigensolver="qr")
+    with pytest.raises(ValueError, match="unknown eigensolver"):
+        operator_spectrum(green_dirichlet(), g, 2, eigensolver="qr")
+
+
+def test_eigenfunction_signs_match_per_pair_loop():
+    # the per-eigenpair loop the vectorized sign fix replaced, as reference
+    g = make_grid(TRAPEZOID, 61)
+    spec = heat_circle(0.01)
+    for solver, solve in (("jacobi", jacobi_eigen), ("eigh", eigh_eigen)):
+        spectrum = operator_spectrum(spec, g, 8, eigensolver=solver)
+        d = solve(discretize(spec, g))
+        order = np.argsort(-np.abs(d.values), kind="stable")[:8]
+        for row, k in enumerate(order):
+            f = d.vectors[:, k] / np.sqrt(g.weights)
+            if f[int(np.argmax(np.abs(f)))] < 0.0:
+                f = -f
+            assert np.array_equal(spectrum.eigenfunctions[row], f)
 
 
 def test_exact_discrete_identity_various_kernels():

@@ -1,4 +1,5 @@
-"""Two-method agreement and block-size independence over generated inputs."""
+"""Two-method agreement, solver invariants and block-size independence
+over generated inputs."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from tracelab import sturm
 from tracelab.heat import KERNEL, SPECTRAL, heat_evolve, random_trig_sample
+from tracelab.linalg import jacobi_eigen
 from tracelab.quadrature import MIDPOINT, TRAPEZOID, make_grid
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
@@ -55,3 +57,35 @@ def test_blocked_series_matches_one_block(n, k_max, per_block, seed, periodic):
         patch.setattr(sturm, "_BLOCK_VALUES", 2 * n * per_block)
         blocked = series()
     assert np.abs(blocked - whole).max() <= 1e-13
+
+
+def symmetric_matrix(kind: str, n: int, seed: int) -> np.ndarray:
+    """Entries in [-1, 1]: random, diagonal, few repeated eigenvalues, or zero rows."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1.0, 1.0, (n, n))
+    a = 0.5 * (a + a.T)
+    if kind == "diagonal":
+        return np.diag(np.diag(a))
+    if kind == "repeated":
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        values = rng.choice([-0.5, 0.0, 0.25, 0.25, 1.0], size=n)
+        return (q * values) @ q.T
+    if kind == "zero rows":
+        zero = rng.random(n) < 0.3
+        a[zero] = 0.0
+        a[:, zero] = 0.0
+    return a
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(kind=st.sampled_from(["random", "diagonal", "repeated", "zero rows"]),
+       n=st.integers(min_value=1, max_value=160), seed=SEEDS)
+def test_jacobi_matches_lapack(kind, n, seed):
+    a = symmetric_matrix(kind, n, seed)
+    scale = max(1.0, float(np.linalg.norm(a)))
+    d = jacobi_eigen(a)
+    assert np.abs(d.values - np.linalg.eigvalsh(a)[::-1]).max() <= 1e-10 * scale
+    assert abs(float(np.sum(d.values)) - float(np.trace(a))) < 1e-9
+    assert np.abs(d.vectors.T @ d.vectors - np.eye(n)).max() <= 1e-10
+    assert np.abs(a @ d.vectors - d.vectors * d.values).max() <= 1e-10 * scale
+    assert np.array_equal(jacobi_eigen(a, values_only=True), d.values)
