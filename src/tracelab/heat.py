@@ -6,7 +6,8 @@ gives the dual sum — equating them is the transformation formula
 theta(s) = theta(1/s)/sqrt(s) with s = 4 pi t.
 
 The periodic eigendata come from `sturm.trig_modes`; the spectral evolution
-is `sturm.filtered_series`, which evaluates them in O(n)-memory blocks.
+is `sturm.filtered_series`, one real FFT on the grid.  The kernel evolution
+samples the periodized Gaussian once, as a row, and convolves with it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import write_csv
-from .kernels import apply_kernel, diagonal_trace, heat_circle
+from .kernels import diagonal_trace, heat_circle
 from .quadrature import MIDPOINT, Grid, _check_sampled
 from .sturm import filtered_series, trig_modes
 
@@ -89,7 +90,10 @@ def heat_evolve(f: np.ndarray, grid: Grid, t: float, method: str = SPECTRAL,
     orthogonality on a midpoint grid), damp each coefficient by exp(-mu t),
     resum.  k_max defaults to every mode below the grid Nyquist limit.
     kernel: quadrature against the periodized heat kernel with cutoff
-    l_max (defaulting per the Gaussian tail rule).
+    l_max (defaulting per the Gaussian tail rule).  Its matrix is the
+    Toeplitz matrix of one sampled row, so the quadrature is a linear
+    convolution of the weighted samples with that row, done by real FFTs
+    of length 2n: the same sum as the dense matrix product, for any l_max.
     """
     if t <= 0.0:
         raise ValueError(f"heat evolution needs t > 0, got {t}")
@@ -107,7 +111,13 @@ def heat_evolve(f: np.ndarray, grid: Grid, t: float, method: str = SPECTRAL,
             return mean + filtered_series(values, grid, k_max, trig_modes,
                                           lambda mu: np.exp(-mu * t))
     if method == KERNEL:
-        return apply_kernel(heat_circle(t, l_max=l_max), values, grid)
+        row = heat_circle(t, l_max=l_max).row(grid)
+        # circulant embedding of the Toeplitz matrix: first column
+        # c_0 .. c_{n-1}, 0, c_{n-1} .. c_1
+        column = np.concatenate((row, [0.0], row[:0:-1]))
+        size = 2 * grid.n
+        image = np.fft.rfft(column) * np.fft.rfft(grid.weights * values, size)
+        return np.fft.irfft(image, size)[:grid.n]
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .fileio import read_csv, write_csv
 from .quadrature import MIDPOINT, TRAPEZOID, Grid, _check_sampled, integrate, make_grid
@@ -156,18 +157,34 @@ class KernelSpec:
                + sx * sy * v[ix + 1, iy + 1])
         return float(out[0]) if scalar else out
 
+    def row(self, grid: Grid) -> np.ndarray:
+        """Heat kernel values k(x_m, x_0), m = 0..n-1, on a uniform grid.
+
+        A heat kernel depends only on x - y, so on nodes x_0 + i h its
+        matrix is the symmetric Toeplitz matrix of this row.  Kernels
+        narrower than the grid are refused: below a standard deviation
+        sqrt(2t) of one node spacing the samples no longer represent the
+        kernel, and spectral and kernel heat flow part ways.
+        """
+        if self.kind not in (HEAT_LINE, HEAT_CIRCLE):
+            raise ValueError(f"{self.kind} kernel is not a function of x - y")
+        if math.sqrt(2.0 * self.t) < grid.spacing:
+            raise ValueError(f"{self.kind} kernel at t={self.t} is narrower than the grid "
+                             f"spacing {grid.spacing:.3g}; needs t >= spacing^2 / 2")
+        return np.asarray(self.evaluate(grid.nodes - grid.nodes[0], 0.0))
+
     def matrix(self, grid: Grid) -> np.ndarray:
         """Kernel sampled at all node pairs of the given grid.
 
-        Heat kernels narrower than the grid are refused: below a standard
-        deviation sqrt(2t) of one node spacing the samples no longer
-        represent the kernel, and spectral and kernel heat flow part ways.
+        Heat kernels gather their row into the Toeplitz matrix c[|i - j|],
+        which is exactly symmetric; see `row` for what they refuse.
         """
         if self.kind == TABULATED and np.array_equal(grid.nodes, self.grid.nodes):
             return self.values
-        if self.kind in (HEAT_LINE, HEAT_CIRCLE) and math.sqrt(2.0 * self.t) < grid.spacing:
-            raise ValueError(f"{self.kind} kernel at t={self.t} is narrower than the grid "
-                             f"spacing {grid.spacing:.3g}; needs t >= spacing^2 / 2")
+        if self.kind in (HEAT_LINE, HEAT_CIRCLE):
+            row = self.row(grid)
+            # window s of [c_{n-1}, ..., c_1, c_0, c_1, ..., c_{n-1}] is row n-1-s
+            return sliding_window_view(np.concatenate((row[:0:-1], row)), grid.n)[::-1].copy()
         X, Y = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
         return np.asarray(self.evaluate(X, Y))
 

@@ -113,11 +113,14 @@ def jacobi_eigen(a, tol: float = 1e-12, max_sweeps: int = 100, *,
     n = sym.n
     m = n + n % 2
     h = m // 2
+    # scaled by a power of two, so that the largest entry lies in [0.5, 1):
+    # exact, and the Frobenius norms can then neither overflow nor underflow
+    exponent = int(np.frexp(np.abs(sym.entries).max())[1]) if n else 0
     mat = np.zeros((m, m))
-    mat[:n, :n] = sym.entries
+    mat[:n, :n] = np.ldexp(sym.entries, -exponent)
     # rows of vec are the eigenvector estimates, in the same layout as mat
     vec = None if values_only else np.eye(m, n)
-    frob = float(np.linalg.norm(sym.entries))
+    frob = float(np.linalg.norm(mat))
     perm = _round_robin(m)
     p = np.arange(0, m, 2)
     pivots = np.r_[p * m + p + 1, (p + 1) * m + p]
@@ -163,7 +166,7 @@ def jacobi_eigen(a, tol: float = 1e-12, max_sweeps: int = 100, *,
             mat = both.take(perm, axis=0).take(perm, axis=1)
             if vec is not None:
                 vec = np.matmul(rotations, vec.reshape(h, 2, n)).reshape(m, n).take(perm, axis=0)
-    values = mat.diagonal()[:n].copy()
+    values = np.ldexp(mat.diagonal()[:n], exponent)
     if values_only:
         values = np.sort(values)[::-1].copy()
         values.setflags(write=False)

@@ -19,6 +19,11 @@ from .fileio import write_json
 from .kernels import eval_green
 from .quadrature import Grid, integrate
 
+# Basel terms per chunk, and the work cap on k_max: 10**8 terms take about
+# 0.33 s on a 2-vCPU machine, so the cap is about 3 s of work
+_BASEL_CHUNK = 2**16
+_MAX_BASEL_TERMS = 10**9
+
 
 @dataclass(frozen=True)
 class MercerReport:
@@ -32,9 +37,17 @@ class MercerReport:
 
 
 def _partial_inverse_square_sum(k_max: int) -> float:
-    # summed from the smallest term up so the float error stays near eps
-    ks = np.arange(k_max, 0, -1, dtype=float)
-    return float(np.sum(1.0 / (ks * ks)))
+    """Sum of 1/k^2 for k = 1..k_max in O(_BASEL_CHUNK) memory.
+
+    Chunks are summed from the smallest terms up, and the chunk sums are
+    added exactly by math.fsum, so the float error stays near eps.
+    """
+    if k_max > _MAX_BASEL_TERMS:
+        raise ValueError(f"k_max={k_max} exceeds the cap of {_MAX_BASEL_TERMS:.0e} "
+                         "terms of the Basel sum")
+    chunks = (np.arange(last, max(last - _BASEL_CHUNK, 0), -1, dtype=float)
+              for last in range(k_max, 0, -_BASEL_CHUNK))
+    return math.fsum(float(np.sum(1.0 / (ks * ks))) for ks in chunks)
 
 
 def mercer_reconstruct(k_max: int, lattice_n: int) -> MercerReport:

@@ -59,8 +59,16 @@ class Grid:
 
     @property
     def spacing(self) -> float:
-        """Common node spacing (both built-in kinds are uniform)."""
-        return float(self.nodes[1] - self.nodes[0])
+        """Common node spacing h of nodes x_0 + i h (both built-in kinds).
+
+        Raises ValueError when the steps differ by more than 1e-12: the
+        transforms and the Toeplitz kernels need uniform nodes.
+        """
+        steps = np.diff(self.nodes)
+        h = float(steps[0])
+        if np.any(np.abs(steps - h) > 1e-12 * max(h, 1.0)):
+            raise ValueError("grid nodes are not uniformly spaced")
+        return h
 
 
 def make_grid(kind: str, n: int) -> Grid:

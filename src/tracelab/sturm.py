@@ -9,8 +9,9 @@ The analytic eigendata of -d^2/dx^2 on [0,1] live here alone: `sine_modes`
 (Dirichlet) and `trig_modes` (periodic) return mu_k and the sampled modes
 for an index array, and every gain (1/mu, exp(-mu t)) is computed from
 those mu.  `filtered_series` projects onto the modes, applies the gain and
-resums, evaluating the modes in blocks of at most _BLOCK_VALUES samples, so
-memory stays O(n) rather than the O(k_max n) of the whole mode matrix.
+resums with one real FFT on the uniform grid: the modes are exponentials
+e^{i nu k x}, which on nodes x0 + i h are DFT columns, so neither the mode
+matrix nor a block of it is ever formed.
 """
 
 from __future__ import annotations
@@ -22,11 +23,10 @@ import numpy as np
 from .fileio import write_csv
 from .quadrature import Grid, _check_sampled
 
-# 2**18 float64 samples are 2 MiB; such blocks were faster than 16 MiB ones
-# (17 ms against 22 ms for n = 2001, k_max = 500)
+# Block size of mode-matrix sums (the Mercer reconstruction) and of the gain
+# fold below: 2**18 float64 samples are 2 MiB
 _BLOCK_VALUES = 2**18
-# Work cap on n * k_max, checked before the work starts: 5e7 mode samples
-# take about 1 s
+# Work cap on n * k_max, checked before the work starts
 _MAX_MODE_VALUES = 10**8
 
 
@@ -47,7 +47,7 @@ def trig_modes(k, x) -> tuple[np.ndarray, np.ndarray]:
     """
     k = np.asarray(k, dtype=float)
     phase = np.multiply.outer(2.0 * math.pi * k, x)
-    rows = np.stack((np.cos(phase), np.sin(phase)), axis=1).reshape(-1, phase.shape[1])
+    rows = np.stack((np.cos(phase), np.sin(phase)), axis=1).reshape(2 * len(k), -1)
     rows *= math.sqrt(2.0)
     return np.repeat(4.0 * math.pi**2 * k**2, 2), rows
 
@@ -55,21 +55,44 @@ def trig_modes(k, x) -> tuple[np.ndarray, np.ndarray]:
 def filtered_series(values: np.ndarray, grid: Grid, k_max: int, modes, gain) -> np.ndarray:
     """Sum of gain(mu) <values, phi> phi over the rows phi of modes(1..k_max, x).
 
-    The inner products use the grid weights.  Reductions are ufunc sums, not
-    matrix products: with two OpenBLAS threads a matrix product raised the
-    CPU time of bvp-compare by half, at equal wall time.
+    The inner products use the grid weights.  Both families are made of
+    e^{i nu k x} with mu_k = (nu k)^2.  On nodes x_i = x0 + i h this is
+    e^{i nu k x0} w^{k i} with w = e^{2 pi i / M} and M = 2 pi / (nu h), so
+    the projections are one real FFT of the weighted samples, zero-padded
+    or folded to length M, and the resummation is one inverse real FFT.
+    On the grid, modes k + M and M - k take the values of mode k up to a
+    sign, which projection and resummation square away.  So the gains are
+    first summed into bins k mod M: the result is the mode sum for every
+    k_max, also k_max >= n, where the modes alias.  M and 2 x0 / h must be
+    whole numbers, as they are on both built-in grids.
     """
     if grid.n * k_max > _MAX_MODE_VALUES:
-        raise ValueError(f"n={grid.n} and k_max={k_max} need {grid.n * k_max:.3g} sampled "
-                         f"mode values; the cap is {_MAX_MODE_VALUES:.0e}")
-    weighted = grid.weights * values
-    step = max(1, _BLOCK_VALUES // (2 * grid.n))  # trig_modes gives two rows per index
-    u = np.zeros_like(values)
-    for first in range(1, k_max + 1, step):
-        mu, rows = modes(np.arange(first, min(first + step, k_max + 1)), grid.nodes)
-        rows *= (gain(mu) * (rows * weighted).sum(axis=1))[:, None]
-        u += rows.sum(axis=0)
-    return u
+        raise ValueError(f"n={grid.n} and k_max={k_max} give n * k_max = "
+                         f"{grid.n * k_max:.3g}; the cap is {_MAX_MODE_VALUES:.0e}")
+    periodic = modes is trig_modes  # cos and sin rows; sine_modes has sin rows only
+    nu = math.sqrt(modes([1], grid.nodes[:0])[0][0])
+    h, x0 = grid.spacing, float(grid.nodes[0])
+    size = round(2.0 * math.pi / (nu * h))
+    if abs(size * nu * h - 2.0 * math.pi) > 1e-9 or abs(2.0 * x0 / h - round(2.0 * x0 / h)) > 1e-9:
+        raise ValueError("series transforms need nodes x0 + i h with 2 pi / (nu h) "
+                         "and 2 x0 / h whole numbers")
+    bins = np.zeros(size)
+    for first in range(1, k_max + 1, _BLOCK_VALUES):
+        k = np.arange(first, min(first + _BLOCK_VALUES, k_max + 1))
+        mu = modes(k, grid.nodes[:0])[0]
+        bins += np.bincount(k % size, weights=gain(mu[::2] if periodic else mu),
+                            minlength=size)
+    half = np.arange(size // 2 + 1)
+    folded = bins[half] + bins[-half % size]
+    weighted = np.bincount(np.arange(grid.n) % size, weights=grid.weights * values,
+                           minlength=size)
+    phase = np.exp(1j * nu * x0 * half)
+    # sum_i weighted_i e^{-i nu s x_i}: its real part projects on cos, its
+    # imaginary part on -sin
+    projection = np.fft.rfft(weighted) * phase.conj()
+    if not periodic:
+        projection.real = 0.0
+    return np.resize(np.fft.irfft(size * folded * phase * projection, size), grid.n)
 
 
 def _cumulative_trapezoid(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -129,10 +152,7 @@ def residual_check(u: np.ndarray, f: np.ndarray, grid: Grid) -> float:
     fv = _check_sampled(f, grid)
     if grid.n < 5:
         raise ValueError(f"residual check needs n >= 5, got {grid.n}")
-    steps = np.diff(grid.nodes)
-    h = steps[0]
-    if np.any(np.abs(steps - h) > 1e-12 * max(h, 1.0)):
-        raise ValueError("residual check requires a uniform grid")
+    h = grid.spacing
     laplacian = (uv[:-2] - 2.0 * uv[1:-1] + uv[2:]) / h**2
     interior = float(np.abs(-laplacian - fv[1:-1]).max())
     return interior + abs(float(uv[0])) + abs(float(uv[-1]))

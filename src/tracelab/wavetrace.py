@@ -13,9 +13,13 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .billiard import LengthSpectrum
 from .fileio import write_csv, write_json
+
+# Bound on the (eigenvalues x samples) workspace of the trace sums: 2 MiB
+_BLOCK_VALUES = 2**18
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,8 +72,11 @@ def smoothed_wave_trace(spectrum: LaplaceSpectrum, t_grid,
                         sigma: float) -> TraceSignal:
     """Sum of cos(sqrt(mu_k) t) exp(-mu_k sigma^2 / 2) on the time grid.
 
-    The summation order over eigenvalues is fixed (ascending), so repeated
-    runs are bitwise identical.
+    The sum is formed once per distinct |t| and gathered back, so the
+    signal is exactly even in t.  When those |t| are uniform it is the
+    block-factored sum, otherwise the direct one.  Both run over blocks of
+    eigenvalues in ascending order, so repeated runs are bitwise identical
+    and the workspace stays bounded.
     """
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
@@ -78,15 +85,59 @@ def smoothed_wave_trace(spectrum: LaplaceSpectrum, t_grid,
     t = np.asarray(t_grid, dtype=float)
     freqs = np.sqrt(spectrum.eigenvalues)
     damping = np.exp(-spectrum.eigenvalues * sigma**2 / 2.0)
-    values = np.empty_like(t)
-    chunk = 512  # bound the (eigenvalues x times) workspace
-    for i in range(0, len(t), chunk):
-        block = t[i:i + chunk]
-        # axis-0 sum, not a BLAS matvec: the reduction order is then the
-        # same for every time sample, making the signal exactly even in t
-        values[i:i + chunk] = (damping[:, None] * np.cos(np.outer(freqs, block))).sum(axis=0)
-    return TraceSignal(t_grid=t, values=values, sigma=sigma,
-                       mu_max=spectrum.mu_max)
+    times, back = np.unique(np.abs(t), return_inverse=True)
+    summed = _factored_sum if _is_uniform(times) else _direct_sum
+    return TraceSignal(t_grid=t, values=summed(freqs, damping, times)[back],
+                       sigma=sigma, mu_max=spectrum.mu_max)
+
+
+def _is_uniform(times: np.ndarray) -> bool:
+    """Whether sorted times are t_0 + i delta to within a few rounding errors."""
+    if len(times) < 2:
+        return False
+    delta = (times[-1] - times[0]) / (len(times) - 1)
+    grid = times[0] + delta * np.arange(len(times))
+    return bool(np.abs(times - grid).max() <= 8.0 * np.finfo(float).eps * abs(times[-1]))
+
+
+def _direct_sum(freqs: np.ndarray, damping: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """sum_k damping_k cos(freqs_k t) at each time, one cosine per pair."""
+    values = np.zeros_like(times)
+    chunk = 512
+    per_block = max(1, _BLOCK_VALUES // chunk)
+    for i in range(0, len(times), chunk):
+        block = times[i:i + chunk]
+        for first in range(0, len(freqs), per_block):
+            w = freqs[first:first + per_block]
+            values[i:i + chunk] += (damping[first:first + per_block, None]
+                                    * np.cos(np.outer(w, block))).sum(axis=0)
+    return values
+
+
+def _factored_sum(freqs: np.ndarray, damping: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The same sum on uniform times t_0 + i delta.
+
+    Time t_b + j delta, with t_b the first of a block of B >= sqrt(T)
+    samples, has cos(w t) = cos(w t_b) cos(w j delta) - sin(w t_b) sin(w j delta),
+    so a block of eigenvalues adds one real matrix product of a (2K, T/B)
+    and a (2K, B) factor: K (T/B + B) cosines and sines instead of K T.
+    """
+    width = math.isqrt(len(times) - 1) + 1
+    anchors = times[::width]
+    offsets = (times[-1] - times[0]) / (len(times) - 1) * np.arange(width)
+    values = np.zeros((len(anchors), width))
+    # at most 2**17 multiply-adds per product, which OpenBLAS runs on one
+    # thread: with two threads, larger products doubled the CPU time of the
+    # fine benchmark trace at the same wall time
+    per_block = max(16, 2**16 // values.size)
+    for first in range(0, len(freqs), per_block):
+        w = freqs[first:first + per_block, None]
+        d = damping[first:first + per_block, None]
+        at, off = w * anchors, w * offsets
+        left = np.concatenate((d * np.cos(at), -d * np.sin(at)))
+        right = np.concatenate((np.cos(off), np.sin(off)))
+        values += left.T @ right
+    return values.ravel()[:len(times)]
 
 
 def spectral_tail_bound(spectrum: LaplaceSpectrum, sigma: float,
@@ -116,15 +167,13 @@ def detect_peaks(signal: TraceSignal, window: int) -> np.ndarray:
     median = float(np.median(values))
     mad = float(np.median(np.abs(values - median)))
     threshold = median + 3.0 * mad
-    peaks = []
-    for i in range(window, len(values) - window):
-        center = values[i]
-        if center <= threshold or signal.t_grid[i] == 0.0:
-            continue
-        neighborhood = values[i - window:i + window + 1]
-        if center == neighborhood.max() and np.count_nonzero(neighborhood == center) == 1:
-            peaks.append(signal.t_grid[i])
-    return np.array(peaks)
+    windows = sliding_window_view(values, 2 * window + 1)
+    centers = values[window:len(values) - window]
+    # strict maximum: above every other value of its window (a NaN anywhere
+    # in the window fails the comparison, as it fails max() == center)
+    others = np.maximum(windows[:, :window].max(axis=1), windows[:, window + 1:].max(axis=1))
+    times = signal.t_grid[window:len(values) - window]
+    return times[~(centers <= threshold) & (times != 0.0) & (centers > others)]
 
 
 @dataclass(frozen=True)
@@ -141,17 +190,26 @@ def compare_lengths(peaks, spectrum: LengthSpectrum, tol: float) -> LengthMatchR
         raise ValueError(f"tolerance must be positive, got {tol}")
     peaks = np.asarray(peaks, dtype=float)
     lengths = spectrum.lengths
-    pairs = sorted(
-        (abs(p - L), i, j)
-        for i, p in enumerate(peaks)
-        for j, L in enumerate(lengths)
-    )
+    # candidate pairs lie within a window of sorted lengths found by
+    # searchsorted; the window is widened to 2 tol so that rounding at its
+    # edges cannot drop a pair the exact |p - L| <= tol test keeps
+    order = np.argsort(lengths, kind="stable")
+    ranked = lengths[order]
+    lo = np.searchsorted(ranked, peaks - 2.0 * tol, side="left")
+    hi = np.searchsorted(ranked, peaks + 2.0 * tol, side="right")
+    counts = hi - lo
+    peak_of = np.repeat(np.arange(len(peaks)), counts)
+    rank = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+    length_of = order[rank]
+    distance = np.abs(peaks[peak_of] - lengths[length_of])
+    near = distance <= tol
+    distance, peak_of, length_of = distance[near], peak_of[near], length_of[near]
+    # greedy in the order of sorted (distance, peak, length) triples
     used_peaks: set[int] = set()
     used_lengths: set[int] = set()
     matched = []
-    for distance, i, j in pairs:
-        if distance > tol:
-            break
+    for k in np.lexsort((length_of, peak_of, distance)):
+        i, j = int(peak_of[k]), int(length_of[k])
         if i in used_peaks or j in used_lengths:
             continue
         used_peaks.add(i)

@@ -8,8 +8,9 @@ import time
 import numpy as np
 import pytest
 
-from tracelab import mercer
+from tracelab import kernels, mercer, nystrom
 from tracelab.cli import main
+from tracelab.quadrature import TRAPEZOID, make_grid
 
 
 def run(capsys, *argv):
@@ -311,3 +312,35 @@ def test_bad_input_exits_fast_without_traceback(capsys, tmp_path, monkeypatch,
     assert out == ""
     assert "Traceback" not in err
     assert "error: " in err.strip().splitlines()[-1]  # after argparse's usage line
+
+
+def test_basel_beyond_the_cap_exits_fast(capsys):
+    # unpatched: the work cap refuses k_max before any term is summed
+    start = time.perf_counter()
+    code, out, err = run(capsys, "basel", "--kmax", "10000000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "cap" in err
+
+
+def test_huge_tabulated_kernel_spectrum(capsys, tmp_path, recwarn):
+    # entries near 1e160 overflowed the Frobenius norm of the Jacobi sweeps,
+    # which then stopped at once and returned the diagonal
+    g = make_grid(TRAPEZOID, 10)
+    upper = np.triu(np.random.default_rng(3).uniform(1e160, 2e160, (10, 10)))
+    path = tmp_path / "huge.csv"
+    kernels.kernel_to_csv(kernels.tabulated(upper + np.triu(upper, 1).T, g), path)
+    spec = kernels.kernel_from_csv(path)
+    expected = np.linalg.eigvalsh(nystrom.discretize(spec, spec.grid).entries)
+    expected = expected[np.argsort(-np.abs(expected))][:2]
+    out_path = tmp_path / "s.json"
+    code, _, _ = run(capsys, "spectrum", "--kernel", str(path), "--count", "2",
+                     "--indefinite", "ignore", "--format", "json", "--out", str(out_path))
+    assert code == 0
+    values = json.loads(out_path.read_text())["eigenvalues"]
+    assert np.allclose(values, expected, rtol=1e-12, atol=0.0)
+    code, out, _ = run(capsys, "trace-check", "--kernel", str(path), "--indefinite", "ignore")
+    assert code == 0
+    diag = float(out.split("diag_integral=")[1].split()[0])
+    assert float(out.split("residual=")[1]) <= 1e-12 * diag
+    assert len(recwarn) == 0

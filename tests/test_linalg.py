@@ -167,3 +167,27 @@ def test_sweep_limit_raises_numerical_error():
     with pytest.raises(NumericalError):
         jacobi_eigen(a, max_sweeps=1, values_only=True)
     assert jacobi_eigen(a).values.shape == (30,)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_scales_beyond_the_norm_range(scale):
+    # |A|_F overflows (1e160) or underflows (1e-170) unless the matrix is scaled
+    a = scale * np.array([[1.0, 2.0], [2.0, 1.0]])
+    expected = scale * np.array([3.0, -1.0])
+    assert np.allclose(jacobi_eigen(a).values, expected, rtol=1e-15, atol=0.0)
+    assert np.allclose(jacobi_eigen(a, values_only=True), expected, rtol=1e-15, atol=0.0)
+
+
+def test_power_of_two_scaling_is_exact():
+    # the internal scaling is exact, so a power-of-two factor on the input
+    # scales the eigenvalues exactly and leaves the vectors bit-identical
+    rng = np.random.default_rng(37)
+    for n in (1, 2, 7, 30):
+        a = random_symmetric(rng, n)
+        d = jacobi_eigen(a)
+        for exponent in (-900, -40, 1, 40, 900):
+            scaled = jacobi_eigen(np.ldexp(a, exponent))
+            assert np.array_equal(scaled.values, np.ldexp(d.values, exponent))
+            assert np.array_equal(scaled.vectors, d.vectors)
+            assert np.array_equal(jacobi_eigen(np.ldexp(a, exponent), values_only=True),
+                                  np.ldexp(d.values, exponent))

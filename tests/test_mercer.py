@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tracelab import sturm
+from tracelab import mercer, sturm
 from tracelab.kernels import eval_green, green_dirichlet
 from tracelab.mercer import (
     basel_via_trace,
@@ -145,3 +145,17 @@ def test_reconstruction_refuses_more_mode_samples_than_the_cap(monkeypatch):
     assert mercer_reconstruct(100, 10).k_max == 100
     with pytest.raises(ValueError, match="cap"):
         mercer_reconstruct(101, 10)
+
+
+def test_chunked_basel_sum_matches_one_sum():
+    chunk = mercer._BASEL_CHUNK
+    for k_max in (1, 2, chunk - 1, chunk, chunk + 1, 3 * chunk + 5, 10**6):
+        ks = np.arange(k_max, 0, -1, dtype=float)
+        one_sum = float(np.sum(1.0 / (ks * ks)))
+        assert basel_via_trace(k_max).lhs == pytest.approx(one_sum, rel=4e-16, abs=0.0)
+
+
+def test_basel_refuses_more_terms_than_the_cap():
+    cap = mercer._MAX_BASEL_TERMS
+    with pytest.raises(ValueError, match="cap"):
+        basel_via_trace(cap + 1)

@@ -1,12 +1,14 @@
-"""Two-method agreement, solver invariants and block-size independence
-over generated inputs."""
+"""Two-method agreement, transforms against their direct sums and solver
+invariants over generated inputs."""
+
+import math
 
 import numpy as np
-import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tracelab import sturm
+from tracelab import kernels, sturm, wavetrace
+from tracelab.billiard import LengthSpectrum
 from tracelab.heat import KERNEL, SPECTRAL, heat_evolve, random_trig_sample
 from tracelab.linalg import jacobi_eigen
 from tracelab.quadrature import MIDPOINT, TRAPEZOID, make_grid
@@ -39,24 +41,180 @@ def test_heat_spectral_matches_kernel(n, seed, t):
     assert np.abs(spectral - kernel).max() < 1e-12
 
 
-@PROPERTY
-@given(n=st.integers(min_value=8, max_value=300), k_max=st.integers(min_value=1, max_value=120),
-       per_block=st.integers(min_value=1, max_value=7), seed=SEEDS,
-       periodic=st.booleans())
-def test_blocked_series_matches_one_block(n, k_max, per_block, seed, periodic):
-    kind, modes = (MIDPOINT, sturm.trig_modes) if periodic else (TRAPEZOID, sturm.sine_modes)
-    g = make_grid(kind, n)
+def mode_sum(values, grid, k_max, modes, gain):
+    """The series as an explicit sum over mode rows: the oracle of the FFT.
+
+    Row k is modes([1], x') at x' = k x_i reduced exactly by the period of
+    the family.  On a built-in grid x_i = (2i + c) / D, so k x_i is an
+    integer residue over D.  Evaluating sin(k pi x_i) directly carries an
+    argument error of about eps k, up to 6e-12 in the series at n = 1200,
+    k_max = 3600, while the FFT stays within 2e-14 of a long-double sum.
+    """
+    periodic = modes is sturm.trig_modes
+    n = grid.n
+    denominator, shift = (2 * (n - 1), 0) if grid.kind == TRAPEZOID else (2 * n, 1)
+    period = denominator if periodic else 2 * denominator  # trig 1, sine 2 in x
+    numerators = 2 * np.arange(n) + shift
+    weighted = grid.weights * values
+    u = np.zeros(n)
+    for first in range(1, k_max + 1, 64):
+        k = np.arange(first, min(first + 64, k_max + 1))
+        mu = modes(k, grid.nodes[:0])[0]
+        x = (np.outer(k, numerators) % period) / denominator
+        rows = modes([1], x.ravel())[1].reshape(-1, len(k), n).transpose(1, 0, 2).reshape(-1, n)
+        u += ((gain(mu) * (rows * weighted).sum(axis=1))[:, None] * rows).sum(axis=0)
+    return u
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(n=st.integers(min_value=3, max_value=1200), k_ratio=st.floats(0.0, 3.0),
+       seed=SEEDS, periodic=st.booleans(), midpoint=st.booleans(), inverse=st.booleans())
+@example(n=1200, k_ratio=3.0, seed=1, periodic=False, midpoint=False, inverse=False)
+@example(n=1200, k_ratio=3.0, seed=2, periodic=True, midpoint=True, inverse=False)
+@example(n=1200, k_ratio=1.0, seed=3, periodic=False, midpoint=True, inverse=True)
+@example(n=1199, k_ratio=3.0, seed=4, periodic=True, midpoint=False, inverse=True)
+def test_fft_series_matches_mode_sum(n, k_ratio, seed, periodic, midpoint, inverse):
+    # k_max from 1 to 3n: beyond n the modes alias on the grid
+    k_max = max(1, round(k_ratio * n))
+    g = make_grid(MIDPOINT if midpoint else TRAPEZOID, n)
+    modes = sturm.trig_modes if periodic else sturm.sine_modes
+    gain = (lambda mu: 1.0 / mu) if inverse else np.ones_like
     f = np.random.default_rng(seed).standard_normal(n)
+    fft = sturm.filtered_series(f, g, k_max, modes, gain)
+    oracle = mode_sum(f, g, k_max, modes, gain)
+    assert np.abs(fft - oracle).max() <= 1e-13 * max(1.0, np.abs(f).max())
 
-    def series():  # gain 1: the projection of f onto the first k_max modes
-        return sturm.filtered_series(f, g, k_max, modes, np.ones_like)
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sturm, "_BLOCK_VALUES", 2 * n * (k_max + 1))
-        whole = series()
-        patch.setattr(sturm, "_BLOCK_VALUES", 2 * n * per_block)
-        blocked = series()
-    assert np.abs(blocked - whole).max() <= 1e-13
+@PROPERTY
+@given(n=st.integers(min_value=8, max_value=512), seed=SEEDS,
+       t=st.floats(min_value=1e-4, max_value=5.0), l_max=st.sampled_from([None, 1, 2, 5]))
+def test_heat_convolution_matches_dense_apply(n, seed, t, l_max):
+    # small l_max keeps the kernel Toeplitz but not circulant
+    g = make_grid(MIDPOINT, n)
+    assume(math.sqrt(2.0 * t) >= g.spacing)
+    f = np.random.default_rng(seed).standard_normal(n)
+    spec = kernels.heat_circle(t, l_max=l_max)
+    x, y = np.meshgrid(g.nodes, g.nodes, indexing="ij")
+    dense = kernels.eval_heat_periodic(t, x, y, spec.l_max) @ (g.weights * f)
+    kernel = heat_evolve(f, g, t, method=KERNEL, l_max=l_max)
+    assert np.abs(kernel - dense).max() <= 1e-13 * max(1.0, np.abs(f).max())
+
+
+@PROPERTY
+@given(n=st.integers(min_value=2, max_value=512), t=st.floats(min_value=1e-4, max_value=5.0),
+       midpoint=st.booleans())
+def test_heat_circle_matrix_is_the_kernel_on_node_pairs(n, t, midpoint):
+    g = make_grid(MIDPOINT if midpoint else TRAPEZOID, n)
+    assume(math.sqrt(2.0 * t) >= g.spacing)
+    spec = kernels.heat_circle(t)
+    x, y = np.meshgrid(g.nodes, g.nodes, indexing="ij")
+    pairs = kernels.eval_heat_periodic(t, x, y, spec.l_max)
+    toeplitz = spec.matrix(g)
+    assert np.array_equal(toeplitz, toeplitz.T)
+    assert np.abs(toeplitz - pairs).max() <= 1e-13 * np.abs(pairs).max()
+
+
+WAVE = dict(a=st.floats(0.5, 2.0), b=st.floats(0.5, 2.0), cutoff=st.floats(20.0, 4000.0),
+            sigma=st.floats(0.02, 0.2))
+
+
+def rectangle(a, b, cutoff):
+    spectrum = wavetrace.rectangle_spectrum(a, b, cutoff)
+    assume(len(spectrum.eigenvalues) > 0)
+    return spectrum
+
+
+def direct_sum(spectrum, sigma, t):
+    damping = np.exp(-spectrum.eigenvalues * sigma**2 / 2.0)
+    values = (damping[:, None] * np.cos(np.outer(np.sqrt(spectrum.eigenvalues), t))).sum(axis=0)
+    return values, damping.sum()
+
+
+@PROPERTY
+@given(start=st.floats(0.0, 6.0), step=st.floats(1e-3, 0.05), count=st.integers(2, 3000), **WAVE)
+def test_factored_wave_trace_matches_direct_sum(start, step, count, a, b, cutoff, sigma):
+    spectrum = rectangle(a, b, cutoff)
+    t = start + step * np.arange(count)
+    assert wavetrace._is_uniform(t)  # so the factored sum is what runs
+    signal = wavetrace.smoothed_wave_trace(spectrum, t, sigma)
+    direct, total_weight = direct_sum(spectrum, sigma, t)
+    assert np.abs(signal.values - direct).max() <= 1e-13 * total_weight
+
+
+@PROPERTY
+@given(step=st.floats(1e-3, 0.05), half=st.integers(1, 1500), **WAVE)
+def test_wave_trace_even_on_symmetric_grids(step, half, a, b, cutoff, sigma):
+    spectrum = rectangle(a, b, cutoff)
+    t = step * np.arange(-half, half + 1)
+    signal = wavetrace.smoothed_wave_trace(spectrum, t, sigma)
+    assert np.array_equal(signal.values, signal.values[::-1])
+    direct, total_weight = direct_sum(spectrum, sigma, t)
+    assert np.abs(signal.values - direct).max() <= 1e-13 * total_weight
+
+
+def detect_peaks_loop(signal, window):
+    """The per-sample loop detect_peaks replaced, kept as its reference."""
+    values = signal.values
+    median = float(np.median(values))
+    mad = float(np.median(np.abs(values - median)))
+    threshold = median + 3.0 * mad
+    peaks = []
+    for i in range(window, len(values) - window):
+        center = values[i]
+        if center <= threshold or signal.t_grid[i] == 0.0:
+            continue
+        neighborhood = values[i - window:i + window + 1]
+        if center == neighborhood.max() and np.count_nonzero(neighborhood == center) == 1:
+            peaks.append(signal.t_grid[i])
+    return np.array(peaks)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(levels=st.lists(st.integers(0, 4), min_size=3, max_size=300),
+       window=st.integers(1, 8), zero_at=st.integers(0, 299))
+def test_detect_peaks_matches_loop(levels, window, zero_at):
+    # few distinct levels: plateaus, ties and equal neighbours everywhere
+    assume(len(levels) >= 2 * window + 1)
+    values = np.array(levels, dtype=float) ** 2
+    t = 0.01 * (np.arange(len(values)) - min(zero_at, len(values) - 1))  # t = 0 somewhere
+    signal = wavetrace.TraceSignal(t_grid=t, values=values, sigma=0.1, mu_max=1.0)
+    assert np.array_equal(wavetrace.detect_peaks(signal, window), detect_peaks_loop(signal, window))
+
+
+def compare_lengths_loop(peaks, lengths, tol):
+    """The all-pairs greedy matching compare_lengths replaced, as its reference."""
+    pairs = sorted((abs(p - L), i, j) for i, p in enumerate(peaks) for j, L in enumerate(lengths))
+    used_peaks, used_lengths, matched = set(), set(), []
+    for distance, i, j in pairs:
+        if distance > tol:
+            break
+        if i in used_peaks or j in used_lengths:
+            continue
+        used_peaks.add(i)
+        used_lengths.add(j)
+        matched.append((float(peaks[i]), float(lengths[j])))
+    matched.sort()
+    missed = tuple(float(L) for j, L in enumerate(lengths) if j not in used_lengths)
+    spurious = tuple(float(p) for i, p in enumerate(peaks) if i not in used_peaks)
+    return tuple(matched), missed, spurious
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(tol=st.sampled_from([0.1, 0.125]),
+       length_steps=st.lists(st.integers(0, 40), max_size=25),
+       peak_steps=st.lists(st.tuples(st.integers(0, 40), st.sampled_from([0, 1, 2, -2, 4]),
+                                     st.integers(-2, 2)), max_size=25))
+def test_compare_lengths_matches_all_pairs(tol, length_steps, peak_steps):
+    # lengths on a tol/2 lattice, peaks at 0, tol/2, tol, -tol or 2 tol from
+    # a lattice point and nudged by up to two ulps: distances tie and sit on
+    # the tolerance, exactly (tol = 1/8) or after rounding (tol = 0.1)
+    lengths = 1.5 + 0.5 * tol * np.array(length_steps, dtype=float)
+    peaks = np.array([1.5 + 0.5 * tol * (k + off) for k, off, _ in peak_steps])
+    peaks += np.array([nudge for _, _, nudge in peak_steps]) * np.spacing(peaks)
+    spectrum = LengthSpectrum(lengths=lengths, descriptors=np.zeros((len(lengths), 2), dtype=int))
+    report = wavetrace.compare_lengths(peaks, spectrum, tol)
+    assert (report.matched, report.missed, report.spurious) == \
+        compare_lengths_loop(peaks, lengths, tol)
 
 
 def symmetric_matrix(kind: str, n: int, seed: int) -> np.ndarray:
