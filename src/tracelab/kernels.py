@@ -14,6 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .fileio import read_csv, write_csv
+from .linalg import row_blocks, symmetrize_in_place
 from .quadrature import MIDPOINT, TRAPEZOID, Grid, _check_sampled, integrate, make_grid
 
 GREEN = "green-dirichlet"
@@ -115,14 +116,13 @@ class KernelSpec:
         elif self.kind == TABULATED:
             if self.values is None or self.grid is None:
                 raise ValueError("tabulated kernel requires values and their grid")
-            vals = np.asarray(self.values, dtype=float)
+            vals = np.array(self.values, dtype=float, order="C")
             n = self.grid.n
             if vals.shape != (n, n):
                 raise ValueError(f"tabulated values must be {n}x{n}, got {vals.shape}")
-            asym = float(np.abs(vals - vals.T).max())
+            asym = symmetrize_in_place(vals)
             if asym > 1e-12:
                 raise ValueError(f"tabulated kernel is asymmetric by {asym:.3e}")
-            vals = 0.5 * (vals + vals.T)
             vals.setflags(write=False)
             object.__setattr__(self, "values", vals)
         else:
@@ -177,8 +177,12 @@ class KernelSpec:
         """Kernel sampled at all node pairs of the given grid.
 
         Heat kernels gather their row into the Toeplitz matrix c[|i - j|],
-        which is exactly symmetric; see `row` for what they refuse.
+        which is exactly symmetric; see `row` for what they refuse.  Each
+        built-in kind fills one new n x n array; a tabulated kernel on its
+        own grid returns its read-only table.
         """
+        if self.kind == GREEN:
+            return _green_matrix(grid.nodes)
         if self.kind == TABULATED and np.array_equal(grid.nodes, self.grid.nodes):
             return self.values
         if self.kind in (HEAT_LINE, HEAT_CIRCLE):
@@ -187,6 +191,22 @@ class KernelSpec:
             return sliding_window_view(np.concatenate((row[:0:-1], row)), grid.n)[::-1].copy()
         X, Y = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
         return np.asarray(self.evaluate(X, Y))
+
+
+def _green_matrix(nodes: np.ndarray) -> np.ndarray:
+    """eval_green on all node pairs, filled by row blocks into one array.
+
+    min(x, y) (1 - max(x, y)) is x(1-y) for x <= y and y(1-x) otherwise,
+    rounded the same way.
+    """
+    eval_green(nodes, 0.0)  # refuses nodes outside [0,1]
+    out = np.empty((len(nodes), len(nodes)))
+    for rows in row_blocks(len(nodes)):
+        block = out[rows]
+        np.maximum.outer(nodes[rows], nodes, out=block)
+        np.subtract(1.0, block, out=block)
+        block *= np.minimum.outer(nodes[rows], nodes)
+    return out
 
 
 def green_dirichlet() -> KernelSpec:

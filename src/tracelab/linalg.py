@@ -16,27 +16,73 @@ class NumericalError(RuntimeError):
     """An iterative routine failed to converge."""
 
 
+# Entries per row block of the blocked matrix passes: 512 KiB temporaries
+_BLOCK_ENTRIES = 2**16
+
+
+def row_blocks(n: int) -> list[slice]:
+    """Consecutive row slices of an n x n matrix, about 2**16 entries each."""
+    step = max(1, _BLOCK_ENTRIES // max(n, 1))
+    return [slice(first, min(first + step, n)) for first in range(0, n, step)]
+
+
+def symmetrize_in_place(a: np.ndarray, *, require_finite: bool = False) -> float:
+    """Overwrite the square array a with (a + a^T)/2; return max |a - a^T| before.
+
+    Block r pairs rows r right of the diagonal with columns r below it, so
+    each temporary holds one row block and every entry is formed as in the
+    whole-array expressions.  A NaN entry makes the result NaN, as
+    numpy's max does.  require_finite raises ValueError on a non-finite
+    entry, possibly after earlier blocks of a were overwritten.
+    """
+    asym = 0.0
+    for rows in row_blocks(a.shape[0]):
+        upper = a[rows, rows.start:]
+        lower = a[rows.start:, rows].T
+        if require_finite and not (np.isfinite(upper).all() and np.isfinite(lower).all()):
+            raise ValueError("matrix entries must be finite")
+        work = np.subtract(upper, lower)
+        asym = np.maximum(asym, np.abs(work, out=work).max())
+        np.add(upper, lower, out=work)
+        work *= 0.5
+        # the diagonal square lies in both views and gets the same values twice
+        upper[...] = work
+        lower[...] = work
+        del work  # so that it is freed before the next block's is made
+    return float(asym)
+
+
 @dataclass(frozen=True, eq=False)
 class SymMatrix:
     """Exactly symmetric dense matrix.
 
-    Construction symmetrizes (A + A^T)/2 and records how asymmetric the
-    input was, so silently "almost symmetric" inputs remain visible.
+    Construction copies the input, symmetrizes the copy to (A + A^T)/2 and
+    records how asymmetric the input was, so silently "almost symmetric"
+    inputs remain visible.  The caller's array is never modified.
     """
 
     entries: np.ndarray
     asymmetry: float = 0.0
 
     def __post_init__(self):
-        a = np.asarray(self.entries, dtype=float)
+        self._adopt(np.array(self.entries, dtype=float, order="C"))
+
+    @classmethod
+    def _from_buffer(cls, buffer: np.ndarray) -> SymMatrix:
+        """Symmetrize a float64 buffer the caller gives up, in place and uncopied.
+
+        The buffer becomes the read-only `entries` of the result.
+        """
+        sym = object.__new__(cls)
+        sym._adopt(buffer)
+        return sym
+
+    def _adopt(self, a: np.ndarray) -> None:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix entries must be finite")
-        asym = float(np.abs(a - a.T).max()) if a.size else 0.0
-        sym = 0.5 * (a + a.T)
-        sym.setflags(write=False)
-        object.__setattr__(self, "entries", sym)
+        asym = symmetrize_in_place(a, require_finite=True)
+        a.setflags(write=False)
+        object.__setattr__(self, "entries", a)
         object.__setattr__(self, "asymmetry", asym)
 
     @property

@@ -15,7 +15,7 @@ import numpy as np
 
 from .fileio import write_csv
 from .kernels import KernelSpec, diagonal_trace
-from .linalg import SymMatrix, eigh_eigen, jacobi_eigen
+from .linalg import SymMatrix, eigh_eigen, jacobi_eigen, row_blocks
 from .quadrature import Grid
 
 # above this size the cyclic Jacobi sweeps get slow; hand off to LAPACK
@@ -23,16 +23,26 @@ JACOBI_SIZE_LIMIT = 160
 
 
 def discretize(spec: KernelSpec, grid: Grid) -> SymMatrix:
-    """Symmetrized Nystrom matrix B[i,j] = sqrt(w_i) k(x_i, x_j) sqrt(w_j)."""
+    """Symmetrized Nystrom matrix B[i,j] = sqrt(w_i) k(x_i, x_j) sqrt(w_j).
+
+    Memory: one n x n float64 buffer per call.  The kernel matrix is
+    checked, weighted and symmetrized in place by row blocks of about 2**16
+    entries; only a tabulated kernel's read-only table is copied first.
+    An eigensolve copies B once more, so `trace-check --n N` peaks near
+    the interpreter's base plus 2 * 8 N^2 bytes.
+    """
     kmat = spec.matrix(grid)
-    bad = np.argwhere(~np.isfinite(kmat))
-    if len(bad):
-        i, j = bad[0]
-        raise ValueError(
-            f"kernel value is not finite at nodes ({grid.nodes[i]!r}, {grid.nodes[j]!r})"
-        )
+    if not kmat.flags.writeable:
+        kmat = kmat.copy()
     s = np.sqrt(grid.weights)
-    return SymMatrix(entries=kmat * np.outer(s, s))
+    for rows in row_blocks(grid.n):
+        block = kmat[rows]
+        if not np.isfinite(block).all():
+            i, j = np.argwhere(~np.isfinite(block))[0]
+            raise ValueError(f"kernel value is not finite at nodes "
+                             f"({grid.nodes[rows.start + i]!r}, {grid.nodes[j]!r})")
+        block *= np.multiply.outer(s[rows], s)
+    return SymMatrix._from_buffer(kmat)
 
 
 def _use_jacobi(matrix: SymMatrix, eigensolver: str) -> bool:

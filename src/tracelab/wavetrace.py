@@ -73,10 +73,11 @@ def smoothed_wave_trace(spectrum: LaplaceSpectrum, t_grid,
     """Sum of cos(sqrt(mu_k) t) exp(-mu_k sigma^2 / 2) on the time grid.
 
     The sum is formed once per distinct |t| and gathered back, so the
-    signal is exactly even in t.  When those |t| are uniform it is the
-    block-factored sum, otherwise the direct one.  Both run over blocks of
-    eigenvalues in ascending order, so repeated runs are bitwise identical
-    and the workspace stays bounded.
+    signal is exactly even in t.  The |t| of samples t >= 0 and the |t|
+    only samples t < 0 reach are summed apart: a part that is uniform
+    takes the block-factored sum, any other the direct one.  Both run over
+    blocks of eigenvalues in ascending order, so repeated runs are bitwise
+    identical and the workspace stays bounded.
     """
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
@@ -86,9 +87,15 @@ def smoothed_wave_trace(spectrum: LaplaceSpectrum, t_grid,
     freqs = np.sqrt(spectrum.eigenvalues)
     damping = np.exp(-spectrum.eigenvalues * sigma**2 / 2.0)
     times, back = np.unique(np.abs(t), return_inverse=True)
-    summed = _factored_sum if _is_uniform(times) else _direct_sum
-    return TraceSignal(t_grid=t, values=summed(freqs, damping, times)[back],
-                       sigma=sigma, mu_max=spectrum.mu_max)
+    # a uniform grid that crosses 0 is two uniform parts in |t|
+    ahead = np.zeros(len(times), dtype=bool)
+    ahead[back.ravel()[t.ravel() >= 0.0]] = True
+    values = np.empty_like(times)
+    for part in (ahead, ~ahead):
+        if part.any():
+            summed = _factored_sum if _is_uniform(times[part]) else _direct_sum
+            values[part] = summed(freqs, damping, times[part])
+    return TraceSignal(t_grid=t, values=values[back], sigma=sigma, mu_max=spectrum.mu_max)
 
 
 def _is_uniform(times: np.ndarray) -> bool:

@@ -11,6 +11,7 @@ from tracelab.linalg import (
     jacobi_eigen,
     matrix_trace_identity,
     spectral_outer_reconstruction,
+    symmetrize_in_place,
 )
 
 
@@ -149,6 +150,34 @@ def test_symmetrization_reports_asymmetry():
     m = SymMatrix(entries=[[1.0, 2.0], [1.0, 1.0]])
     assert m.asymmetry == 1.0
     assert np.array_equal(m.entries, [[1.0, 1.5], [1.5, 1.0]])
+
+
+def test_symmetrization_copies_and_leaves_the_input_alone():
+    a = np.random.default_rng(3).uniform(-1.0, 1.0, (300, 300))
+    before = a.copy()
+    m = SymMatrix(entries=a)
+    assert a.flags.writeable
+    assert np.array_equal(a, before)
+    assert not np.shares_memory(m.entries, a)
+    assert not m.entries.flags.writeable
+    assert np.array_equal(m.entries, 0.5 * (before + before.T))
+    assert m.asymmetry == float(np.abs(before - before.T).max())
+
+
+def test_symmetrization_rejects_nonfinite_entries():
+    for bad in (np.nan, np.inf):
+        a = np.eye(300)
+        a[250, 3] = bad
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            SymMatrix(entries=a)
+
+
+def test_blocked_asymmetry_propagates_nan_and_inf():
+    # entries in a late row block; only a tabulated kernel's table gets here unchecked
+    for bad, expected in ((np.nan, math.isnan), (np.inf, math.isinf)):
+        a = np.eye(300)
+        a[250, 260] = bad
+        assert expected(symmetrize_in_place(a))
 
 
 def test_jacobi_agrees_with_lapack():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +50,21 @@ def test_discretize_rejects_nonfinite_with_location():
     values[2, 3] = values[3, 2] = np.nan
     with pytest.raises(ValueError, match="not finite"):
         discretize(tabulated(values, g), g)
+
+
+def test_discretize_allocates_one_matrix():
+    n = 801
+    g = make_grid(TRAPEZOID, n)
+    spec = green_dirichlet()
+    tracemalloc.start()
+    try:
+        b = discretize(spec, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert b.n == n
+    # the matrix itself plus row-block temporaries of about 2**16 entries
+    assert peak < 1.25 * 8 * n**2
 
 
 def test_operator_spectrum_green_eigenvalues():

@@ -2,15 +2,17 @@
 invariants over generated inputs."""
 
 import math
+import re
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tracelab import kernels, sturm, wavetrace
+from tracelab import kernels, nystrom, sturm, wavetrace
 from tracelab.billiard import LengthSpectrum
 from tracelab.heat import KERNEL, SPECTRAL, heat_evolve, random_trig_sample
-from tracelab.linalg import jacobi_eigen
+from tracelab.linalg import SymMatrix, jacobi_eigen
 from tracelab.quadrature import MIDPOINT, TRAPEZOID, make_grid
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
@@ -152,6 +154,41 @@ def test_wave_trace_even_on_symmetric_grids(step, half, a, b, cutoff, sigma):
     assert np.abs(signal.values - direct).max() <= 1e-13 * total_weight
 
 
+@PROPERTY
+@given(negative=st.integers(1, 1500), positive=st.integers(1, 1500),
+       step=st.floats(1e-3, 0.05), shift=st.sampled_from([0.0, 0.25, 0.5, 0.7]), **WAVE)
+@example(negative=250, positive=3351 - 250, step=0.002, shift=0.0, a=1.0, b=1.0,
+         cutoff=4000.0, sigma=0.05)
+def test_wave_trace_crossing_zero_stays_factored(negative, positive, step, shift,
+                                                 a, b, cutoff, sigma):
+    # grids that cross t = 0 without being symmetric, as np.arange(-0.5, 6.201, 0.002)
+    spectrum = rectangle(a, b, cutoff)
+    t = step * (np.arange(-negative, positive) + shift)
+    calls = []
+
+    def spy(name, summed):
+        def run(freqs, damping, times):
+            calls.append((name, len(times)))
+            return summed(freqs, damping, times)
+        return run
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wavetrace, "_factored_sum", spy("factored", wavetrace._factored_sum))
+        patch.setattr(wavetrace, "_direct_sum", spy("direct", wavetrace._direct_sum))
+        signal = wavetrace.smoothed_wave_trace(spectrum, t, sigma)
+    # each part of two or more times is uniform, so only a lone time is summed directly
+    assert all(name == "factored" or size == 1 for name, size in calls)
+    assert sum(size for _, size in calls) == len(np.unique(np.abs(t)))
+    damping = np.exp(-spectrum.eigenvalues * sigma**2 / 2.0)
+    direct = wavetrace._direct_sum(np.sqrt(spectrum.eigenvalues), damping, np.abs(t))
+    assert np.abs(signal.values - direct).max() <= 1e-13 * damping.sum()
+    # exactly even: one value per distinct |t|
+    _, back = np.unique(np.abs(t), return_inverse=True)
+    first = np.empty(back.max() + 1)
+    first[back] = signal.values
+    assert np.array_equal(signal.values, first[back])
+
+
 def detect_peaks_loop(signal, window):
     """The per-sample loop detect_peaks replaced, kept as its reference."""
     values = signal.values
@@ -247,3 +284,64 @@ def test_jacobi_matches_lapack(kind, n, seed):
     assert np.abs(d.vectors.T @ d.vectors - np.eye(n)).max() <= 1e-10
     assert np.abs(a @ d.vectors - d.vectors * d.values).max() <= 1e-10 * scale
     assert np.array_equal(jacobi_eigen(a, values_only=True), d.values)
+
+
+def reference_kernel(spec, grid):
+    """The kernel on all node pairs, sampled without row blocks."""
+    if spec.kind == kernels.GREEN:
+        x, y = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
+        return kernels.eval_green(x, y)
+    if spec.kind == kernels.HEAT_CIRCLE:
+        index = np.arange(grid.n)
+        return spec.row(grid)[np.abs(index[:, None] - index[None, :])]
+    return spec.values
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(n=st.integers(min_value=2, max_value=300), midpoint=st.booleans(),
+       kind=st.sampled_from(["green", "heat-circle", "symmetric table", "asymmetric table"]),
+       t=st.floats(min_value=1e-5, max_value=2.0), l_max=st.sampled_from([None, 1, 2, 7]),
+       seed=SEEDS)
+def test_discretize_is_bit_identical_to_whole_array_reference(n, midpoint, kind, t, l_max, seed):
+    g = make_grid(MIDPOINT if midpoint else TRAPEZOID, n)
+    rng = np.random.default_rng(seed)
+    if kind == "green":
+        spec = kernels.green_dirichlet()
+    elif kind == "heat-circle":
+        assume(math.sqrt(2.0 * t) >= g.spacing)
+        spec = kernels.heat_circle(t, l_max=l_max)
+    else:
+        table = rng.uniform(-1.0, 1.0, (n, n))
+        table = table + table.T
+        if kind == "asymmetric table":
+            table += rng.uniform(-4e-13, 4e-13, (n, n))
+        spec = kernels.tabulated(table, g)
+        assert same_bits(spec.values, 0.5 * (table + table.T))
+    s = np.sqrt(g.weights)
+    weighted = reference_kernel(spec, g) * np.outer(s, s)
+    b = nystrom.discretize(spec, g)
+    assert same_bits(b.entries, 0.5 * (weighted + weighted.T))
+    assert b.asymmetry == float(np.abs(weighted - weighted.T).max())
+    reference = SymMatrix(entries=weighted)
+    assert same_bits(b.entries, reference.entries) and b.asymmetry == reference.asymmetry
+    assert not b.entries.flags.writeable
+
+
+@PROPERTY
+@given(n=st.integers(min_value=2, max_value=300), midpoint=st.booleans(),
+       row=st.floats(0.0, 1.0, exclude_max=True), column=st.floats(0.0, 1.0, exclude_max=True))
+@example(n=300, midpoint=False, row=0.99, column=0.9)  # past the first row block
+def test_discretize_names_the_first_nonfinite_node_pair(n, midpoint, row, column):
+    g = make_grid(MIDPOINT if midpoint else TRAPEZOID, n)
+    i, j = int(row * n), int(column * n)
+    table = np.ones((n, n))
+    table[i, j] = np.nan
+    # symmetrization spreads the NaN to (j, i); row-major order meets the upper one first
+    first, second = min(i, j), max(i, j)
+    message = f"kernel value is not finite at nodes ({g.nodes[first]!r}, {g.nodes[second]!r})"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        nystrom.discretize(kernels.tabulated(table, g), g)
