@@ -30,14 +30,11 @@ from .heat import (
 )
 from .kernels import (
     KernelSpec,
-    apply_kernel,
     diagonal_trace,
     eval_green,
-    eval_heat,
     eval_heat_periodic,
     green_dirichlet,
     heat_circle,
-    heat_line,
     tabulated,
 )
 from .linalg import (
@@ -47,7 +44,6 @@ from .linalg import (
     eigh_eigen,
     jacobi_eigen,
     matrix_trace_identity,
-    spectral_outer_reconstruction,
 )
 from .mercer import (
     BaselReport,

@@ -1,8 +1,9 @@
 """Symmetric integral kernels on the unit square.
 
-Built-in kernels: the Dirichlet Green function of -u'' on [0,1], the
-Gaussian heat kernel on the line, its 1-periodization, and tabulated
-kernels sampled on a grid.
+The three kernels the experiments use: the Dirichlet Green function of
+-u'' on [0,1], the 1-periodized Gaussian heat kernel, and tabulated
+kernels, which are defined on the nodes of the grid they were sampled on
+and nowhere else.
 """
 
 from __future__ import annotations
@@ -13,14 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .fileio import read_csv, write_csv
+from .fileio import read_csv
 from .linalg import row_blocks, symmetrize_in_place
-from .quadrature import MIDPOINT, TRAPEZOID, Grid, _check_sampled, integrate, make_grid
+from .quadrature import MIDPOINT, TRAPEZOID, Grid, integrate, make_grid
 
 GREEN = "green-dirichlet"
-HEAT_LINE = "heat-line"
 HEAT_CIRCLE = "heat-circle"
 TABULATED = "tabulated"
+
+_OFF_GRID = "a tabulated kernel is defined on the nodes of its own grid only"
 
 # Cap on the images per side of the periodized heat kernel, which the default
 # truncation reaches near t = 4e4, where the kernel is constant to double precision
@@ -38,16 +40,6 @@ def eval_green(x, y):
     if np.any(xv < 0.0) or np.any(xv > 1.0) or np.any(yv < 0.0) or np.any(yv > 1.0):
         raise ValueError("green kernel arguments must lie in [0,1]")
     out = np.where(xv <= yv, xv * (1.0 - yv), yv * (1.0 - xv))
-    return float(out) if out.ndim == 0 else out
-
-
-def eval_heat(t: float, x, y):
-    """Heat kernel on the line: exp(-(x-y)^2 / 4t) / sqrt(4 pi t)."""
-    if t <= 0.0:
-        raise ValueError(f"heat kernel needs t > 0, got {t}")
-    xv = np.asarray(x, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    out = np.exp(-((xv - yv) ** 2) / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
     return float(out) if out.ndim == 0 else out
 
 
@@ -69,9 +61,12 @@ def periodic_tail_bound(t: float, l_max: int) -> float:
     tail is at most 2 * K_t(0, l_max) * (1 + 2t / l_max), using the integral
     comparison sum_{m >= M} exp(-m^2/4t) <= exp(-M^2/4t) (1 + 2t/M).
     """
+    if t <= 0.0:
+        raise ValueError(f"needs t > 0, got {t}")
     if l_max < 1:
         raise ValueError(f"needs l_max >= 1, got {l_max}")
-    return 2.0 * eval_heat(t, 0.0, float(l_max)) * (1.0 + 2.0 * t / l_max)
+    gaussian = float(np.exp(-float(l_max) ** 2 / (4.0 * t)) / math.sqrt(4.0 * math.pi * t))
+    return 2.0 * gaussian * (1.0 + 2.0 * t / l_max)
 
 
 def eval_heat_periodic(t: float, x, y, l_max: int):
@@ -93,8 +88,8 @@ def eval_heat_periodic(t: float, x, y, l_max: int):
 class KernelSpec:
     """An evaluable symmetric kernel; use the factory helpers below.
 
-    Tabulated kernels carry the grid they were sampled on; evaluating them
-    off-grid falls back to bilinear interpolation and is only approximate.
+    Tabulated kernels carry the grid they were sampled on and are defined
+    on its nodes only: evaluating them anywhere else is refused.
     """
 
     kind: str
@@ -106,13 +101,12 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind == GREEN:
             pass
-        elif self.kind in (HEAT_LINE, HEAT_CIRCLE):
+        elif self.kind == HEAT_CIRCLE:
             if self.t is None or self.t <= 0.0:
                 raise ValueError(f"{self.kind} requires t > 0, got {self.t}")
-            if self.kind == HEAT_CIRCLE:
-                if self.l_max is None or not 1 <= self.l_max <= _MAX_IMAGES:
-                    raise ValueError(f"{self.kind} at t={self.t} requires 1 <= l_max <= "
-                                     f"{_MAX_IMAGES} images per side, got {self.l_max}")
+            if self.l_max is None or not 1 <= self.l_max <= _MAX_IMAGES:
+                raise ValueError(f"{self.kind} at t={self.t} requires 1 <= l_max <= "
+                                 f"{_MAX_IMAGES} images per side, got {self.l_max}")
         elif self.kind == TABULATED:
             if self.values is None or self.grid is None:
                 raise ValueError("tabulated kernel requires values and their grid")
@@ -132,30 +126,14 @@ class KernelSpec:
         """Kernel value(s) at (x, y); accepts scalars or broadcastable arrays."""
         if self.kind == GREEN:
             return eval_green(x, y)
-        if self.kind == HEAT_LINE:
-            return eval_heat(self.t, x, y)
         if self.kind == HEAT_CIRCLE:
             return eval_heat_periodic(self.t, x, y, self.l_max)
-        return self._interpolate(x, y)
-
-    def _interpolate(self, x, y):
         nodes = self.grid.nodes
-        scalar = np.asarray(x).ndim == 0 and np.asarray(y).ndim == 0
-        xv = np.atleast_1d(np.asarray(x, dtype=float))
-        yv = np.atleast_1d(np.asarray(y, dtype=float))
-        xv, yv = np.broadcast_arrays(xv, yv)
-        ix = np.clip(np.searchsorted(nodes, xv) - 1, 0, len(nodes) - 2)
-        iy = np.clip(np.searchsorted(nodes, yv) - 1, 0, len(nodes) - 2)
-        sx = (xv - nodes[ix]) / (nodes[ix + 1] - nodes[ix])
-        sy = (yv - nodes[iy]) / (nodes[iy + 1] - nodes[iy])
-        sx = np.clip(sx, 0.0, 1.0)
-        sy = np.clip(sy, 0.0, 1.0)
-        v = self.values
-        out = ((1 - sx) * (1 - sy) * v[ix, iy]
-               + sx * (1 - sy) * v[ix + 1, iy]
-               + (1 - sx) * sy * v[ix, iy + 1]
-               + sx * sy * v[ix + 1, iy + 1])
-        return float(out[0]) if scalar else out
+        i, j = (np.clip(np.searchsorted(nodes, v), 0, len(nodes) - 1) for v in (x, y))
+        if not (np.array_equal(nodes[i], x) and np.array_equal(nodes[j], y)):
+            raise ValueError(_OFF_GRID)
+        out = self.values[i, j]
+        return float(out) if out.ndim == 0 else out
 
     def row(self, grid: Grid) -> np.ndarray:
         """Heat kernel values k(x_m, x_0), m = 0..n-1, on a uniform grid.
@@ -166,7 +144,7 @@ class KernelSpec:
         sqrt(2t) of one node spacing the samples no longer represent the
         kernel, and spectral and kernel heat flow part ways.
         """
-        if self.kind not in (HEAT_LINE, HEAT_CIRCLE):
+        if self.kind != HEAT_CIRCLE:
             raise ValueError(f"{self.kind} kernel is not a function of x - y")
         if math.sqrt(2.0 * self.t) < grid.spacing:
             raise ValueError(f"{self.kind} kernel at t={self.t} is narrower than the grid "
@@ -176,21 +154,20 @@ class KernelSpec:
     def matrix(self, grid: Grid) -> np.ndarray:
         """Kernel sampled at all node pairs of the given grid.
 
-        Heat kernels gather their row into the Toeplitz matrix c[|i - j|],
-        which is exactly symmetric; see `row` for what they refuse.  Each
-        built-in kind fills one new n x n array; a tabulated kernel on its
-        own grid returns its read-only table.
+        The heat kernel gathers its row into the Toeplitz matrix c[|i - j|],
+        which is exactly symmetric; see `row` for what it refuses.  Each
+        built-in kind fills one new n x n array; a tabulated kernel returns
+        its read-only table, and only for the grid it was sampled on.
         """
         if self.kind == GREEN:
             return _green_matrix(grid.nodes)
-        if self.kind == TABULATED and np.array_equal(grid.nodes, self.grid.nodes):
-            return self.values
-        if self.kind in (HEAT_LINE, HEAT_CIRCLE):
+        if self.kind == HEAT_CIRCLE:
             row = self.row(grid)
             # window s of [c_{n-1}, ..., c_1, c_0, c_1, ..., c_{n-1}] is row n-1-s
             return sliding_window_view(np.concatenate((row[:0:-1], row)), grid.n)[::-1].copy()
-        X, Y = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
-        return np.asarray(self.evaluate(X, Y))
+        if not np.array_equal(grid.nodes, self.grid.nodes):
+            raise ValueError(_OFF_GRID)
+        return self.values
 
 
 def _green_matrix(nodes: np.ndarray) -> np.ndarray:
@@ -213,10 +190,6 @@ def green_dirichlet() -> KernelSpec:
     return KernelSpec(kind=GREEN)
 
 
-def heat_line(t: float) -> KernelSpec:
-    return KernelSpec(kind=HEAT_LINE, t=t)
-
-
 def heat_circle(t: float, l_max: int | None = None) -> KernelSpec:
     if l_max is None:
         l_max = default_heat_truncation(t)
@@ -227,27 +200,10 @@ def tabulated(values: np.ndarray, grid: Grid) -> KernelSpec:
     return KernelSpec(kind=TABULATED, values=values, grid=grid)
 
 
-def apply_kernel(spec: KernelSpec, f: np.ndarray, grid: Grid) -> np.ndarray:
-    """Image of f under the kernel: (Gf)(x_i) = sum_j w_j k(x_i, x_j) f_j."""
-    values = _check_sampled(f, grid)
-    kmat = spec.matrix(grid)
-    return kmat @ (grid.weights * values)
-
-
 def diagonal_trace(spec: KernelSpec, grid: Grid) -> float:
     """Quadrature of the kernel diagonal x -> k(x, x)."""
     diag = np.asarray(spec.evaluate(grid.nodes, grid.nodes))
     return integrate(diag, grid)
-
-
-def kernel_to_csv(spec: KernelSpec, path) -> None:
-    """Save a tabulated kernel as a matrix CSV bordered by its grid nodes."""
-    if spec.kind != TABULATED:
-        raise ValueError("only tabulated kernels serialize to CSV")
-    nodes = spec.grid.nodes
-    header = ["node", *nodes]
-    rows = [[x, *row] for x, row in zip(nodes, spec.values)]
-    write_csv(path, header, rows)
 
 
 def kernel_from_csv(path) -> KernelSpec:

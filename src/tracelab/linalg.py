@@ -106,12 +106,13 @@ def _sorted_decomposition(values: np.ndarray, vectors: np.ndarray) -> EigenDecom
     # ties broken by descending first-nonzero component index, so repeated
     # eigenvalues come out in a reproducible vector order.  An all-zero column
     # counts as 0, argmax cannot reduce the empty axis of a 0x0 matrix, and
-    # the mask stays a temporary so it does not add to the copies' peak memory.
+    # the mask stays a temporary so it does not add to the gather's peak
+    # memory.  The inputs may be views: the gathers make the only copies.
     tiebreak = (-(np.abs(vectors) > 1e-12).argmax(axis=0) if vectors.size
                 else np.zeros(0, dtype=int))
     order = np.lexsort((tiebreak, -values))
-    values = values[order].copy()
-    vectors = vectors[:, order].copy()
+    values = values[order]
+    vectors = vectors[:, order]
     values.setflags(write=False)
     vectors.setflags(write=False)
     return EigenDecomposition(values=values, vectors=vectors)
@@ -228,7 +229,7 @@ def eigh_eigen(a) -> EigenDecomposition:
     """
     sym = _as_sym(a)
     values, vectors = np.linalg.eigh(sym.entries)
-    return _sorted_decomposition(values[::-1].copy(), vectors[:, ::-1].copy())
+    return _sorted_decomposition(values[::-1], vectors[:, ::-1])
 
 
 @dataclass(frozen=True)
@@ -245,10 +246,3 @@ def matrix_trace_identity(a, tol: float = 1e-12) -> TraceIdentityReport:
     diag_sum = float(np.trace(sym.entries))
     return TraceIdentityReport(eig_sum=eig_sum, diag_sum=diag_sum,
                                residual=abs(eig_sum - diag_sum))
-
-
-def spectral_outer_reconstruction(decomposition: EigenDecomposition) -> SymMatrix:
-    """Rebuild the matrix from its spectral data: sum of lambda_k v_k v_k^T."""
-    v = decomposition.vectors
-    rebuilt = (v * decomposition.values) @ v.T
-    return SymMatrix(entries=rebuilt)

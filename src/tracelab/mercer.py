@@ -23,6 +23,8 @@ from .quadrature import Grid, integrate
 # 0.33 s on a 2-vCPU machine, so the cap is about 3 s of work
 _BASEL_CHUNK = 2**16
 _MAX_BASEL_TERMS = 10**9
+# Work cap on the k_max x lattice_n mode samples of the reconstruction
+_MAX_MODE_VALUES = 10**8
 
 
 @dataclass(frozen=True)
@@ -57,16 +59,16 @@ def mercer_reconstruct(k_max: int, lattice_n: int) -> MercerReport:
     the absolute truncation error; since the modes are bounded by sqrt(2),
     the dropped tail is pointwise at most 2/(pi^2 k_max).  The series is
     accumulated over blocks of at most sturm._BLOCK_VALUES mode samples,
-    and k_max * lattice_n is capped at sturm._MAX_MODE_VALUES.
+    and k_max * lattice_n is capped at _MAX_MODE_VALUES.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     if lattice_n < 2:
         raise ValueError(f"lattice_n must be >= 2, got {lattice_n}")
-    if k_max * lattice_n > sturm._MAX_MODE_VALUES:
+    if k_max * lattice_n > _MAX_MODE_VALUES:
         raise ValueError(f"k_max={k_max} and lattice_n={lattice_n} need "
                          f"{k_max * lattice_n:.3g} sampled mode values; "
-                         f"the cap is {sturm._MAX_MODE_VALUES:.0e}")
+                         f"the cap is {_MAX_MODE_VALUES:.0e}")
     xs = np.linspace(0.0, 1.0, lattice_n)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     target = eval_green(X, Y)

@@ -45,14 +45,6 @@ def discretize(spec: KernelSpec, grid: Grid) -> SymMatrix:
     return SymMatrix._from_buffer(kmat)
 
 
-def _use_jacobi(matrix: SymMatrix, eigensolver: str) -> bool:
-    if eigensolver == "auto":
-        return matrix.n <= JACOBI_SIZE_LIMIT
-    if eigensolver not in ("jacobi", "eigh"):
-        raise ValueError(f"unknown eigensolver {eigensolver!r}")
-    return eigensolver == "jacobi"
-
-
 @dataclass(frozen=True, eq=False)
 class OperatorSpectrum:
     """Leading eigenpairs of the discretized operator.
@@ -67,10 +59,10 @@ class OperatorSpectrum:
     grid: Grid
 
 
-def operator_spectrum(spec: KernelSpec, grid: Grid, count: int,
-                      eigensolver: str = "auto") -> OperatorSpectrum:
+def operator_spectrum(spec: KernelSpec, grid: Grid, count: int) -> OperatorSpectrum:
     """Leading `count` eigenpairs of the kernel operator on the grid.
 
+    Jacobi decomposes matrices up to JACOBI_SIZE_LIMIT, LAPACK larger ones.
     Eigenvector samples are un-weighted back to function samples via
     f_k(x_i) = v_ik / sqrt(w_i); the sign is fixed by making the component
     of largest magnitude positive.
@@ -78,7 +70,7 @@ def operator_spectrum(spec: KernelSpec, grid: Grid, count: int,
     if count < 1 or count > grid.n:
         raise ValueError(f"count must be in [1, {grid.n}], got {count}")
     matrix = discretize(spec, grid)
-    decomposition = (jacobi_eigen if _use_jacobi(matrix, eigensolver) else eigh_eigen)(matrix)
+    decomposition = (jacobi_eigen if grid.n <= JACOBI_SIZE_LIMIT else eigh_eigen)(matrix)
     order = np.argsort(-np.abs(decomposition.values), kind="stable")[:count]
     values = decomposition.values[order]
     functions = decomposition.vectors[:, order].T / np.sqrt(grid.weights)
@@ -94,8 +86,7 @@ class TraceFormulaReport:
     residual: float
 
 
-def trace_formula_check(spec: KernelSpec, grid: Grid,
-                        eigensolver: str = "auto") -> TraceFormulaReport:
+def trace_formula_check(spec: KernelSpec, grid: Grid) -> TraceFormulaReport:
     """Sum of all Nystrom eigenvalues against the quadrature of the diagonal.
 
     The two sides agree exactly through the matrix trace, so the residual
@@ -105,7 +96,7 @@ def trace_formula_check(spec: KernelSpec, grid: Grid,
     JACOBI_SIZE_LIMIT, LAPACK eigvalsh above it.
     """
     matrix = discretize(spec, grid)
-    if _use_jacobi(matrix, eigensolver):
+    if grid.n <= JACOBI_SIZE_LIMIT:
         values = jacobi_eigen(matrix, values_only=True)
     else:
         values = np.linalg.eigvalsh(matrix.entries)[::-1]

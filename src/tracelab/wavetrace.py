@@ -50,16 +50,6 @@ def rectangle_spectrum(a: float, b: float, mu_max: float) -> LaplaceSpectrum:
     return LaplaceSpectrum(a=a, b=b, mu_max=mu_max, eigenvalues=mu)
 
 
-def rectangle_mode(n: int, m: int, a: float, b: float, x1, x2):
-    """Normalized Dirichlet eigenfunction of the rectangle for indices (n, m)."""
-    if n < 1 or m < 1:
-        raise ValueError(f"mode indices must be >= 1, got ({n}, {m})")
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    return (2.0 / math.sqrt(a * b)) * np.sin(math.pi * n * x1 / a) \
-        * np.sin(math.pi * m * x2 / b)
-
-
 @dataclass(frozen=True, eq=False)
 class TraceSignal:
     t_grid: np.ndarray

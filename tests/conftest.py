@@ -1,0 +1,18 @@
+import pytest
+
+from tracelab.fileio import write_csv
+
+
+@pytest.fixture
+def write_kernel_csv(tmp_path):
+    """Writer of a tabulated kernel as a matrix CSV bordered by its grid nodes.
+
+    The format is the one `kernels.kernel_from_csv` reads and the CLI
+    takes as --kernel; the writer returns the path it wrote.
+    """
+    def write(spec, name="kernel.csv"):
+        path = tmp_path / name
+        nodes = spec.grid.nodes
+        write_csv(path, ["node", *nodes], [[x, *row] for x, row in zip(nodes, spec.values)])
+        return path
+    return write

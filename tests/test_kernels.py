@@ -4,17 +4,13 @@ import numpy as np
 import pytest
 
 from tracelab.kernels import (
-    apply_kernel,
     default_heat_truncation,
     diagonal_trace,
     eval_green,
-    eval_heat,
     eval_heat_periodic,
     green_dirichlet,
     heat_circle,
-    heat_line,
     kernel_from_csv,
-    kernel_to_csv,
     periodic_tail_bound,
     tabulated,
 )
@@ -51,31 +47,34 @@ def test_green_rejects_outside():
 
 
 def test_heat_diagonal_value():
+    # Poisson summation: the periodized diagonal is the theta sum over k
     for t in (0.05, 0.3, 2.0):
-        assert math.isclose(eval_heat(t, 0.4, 0.4), 1.0 / math.sqrt(4 * math.pi * t),
-                            rel_tol=1e-15)
+        theta_sum = 1.0 + 2.0 * sum(math.exp(-4 * math.pi**2 * k * k * t) for k in range(1, 40))
+        assert math.isclose(eval_heat_periodic(t, 0.4, 0.4, default_heat_truncation(t)),
+                            theta_sum, rel_tol=1e-14)
 
 
 def test_heat_unit_prefactor():
-    assert math.isclose(eval_heat(1.0 / (4 * math.pi), 0.0, 0.0), 1.0, rel_tol=1e-15)
+    # 1/sqrt(4 pi t) = 1 here, and one image per side adds 2 exp(-1/4t)
+    t = 1.0 / (4 * math.pi)
+    assert math.isclose(eval_heat_periodic(t, 0.0, 0.0, 1), 1.0 + 2.0 * math.exp(-math.pi),
+                        rel_tol=1e-15)
 
 
 def test_heat_mass_one():
-    # integral over the line by wide trapezoid quadrature
+    # integral over one period by the midpoint rule, spectrally exact here
     t = 0.37
-    span = 1.0 + 14.0 * math.sqrt(t)
-    y = np.linspace(-span, 1 + span, 40001)
-    h = y[1] - y[0]
-    w = np.full_like(y, h)
-    w[0] = w[-1] = h / 2
-    assert abs(np.dot(w, eval_heat(t, 0.3, y)) - 1.0) < 1e-10
+    g = make_grid(MIDPOINT, 400)
+    mass = np.dot(g.weights, eval_heat_periodic(t, 0.3, g.nodes, default_heat_truncation(t)))
+    assert abs(mass - 1.0) < 1e-14
 
 
 def test_heat_rejects_bad_t():
-    with pytest.raises(ValueError):
-        eval_heat(0.0, 0.1, 0.2)
-    with pytest.raises(ValueError):
-        eval_heat(-1.0, 0.1, 0.2)
+    for t in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            eval_heat_periodic(t, 0.1, 0.2, 5)
+        with pytest.raises(ValueError):
+            periodic_tail_bound(t, 5)
 
 
 def test_periodic_truncation_insensitive():
@@ -112,7 +111,7 @@ def test_builtin_kernels_symmetric():
     rng = np.random.default_rng(3)
     x = rng.uniform(0, 1, 1000)
     y = rng.uniform(0, 1, 1000)
-    for spec in (green_dirichlet(), heat_line(0.3), heat_circle(0.3)):
+    for spec in (green_dirichlet(), heat_circle(0.3)):
         asym = np.abs(spec.evaluate(x, y) - spec.evaluate(y, x)).max()
         assert asym < 1e-14
 
@@ -120,14 +119,8 @@ def test_builtin_kernels_symmetric():
 def test_apply_kernel_green_eigenfunction():
     g = make_grid(TRAPEZOID, 2001)
     f = math.sqrt(2) * np.sin(np.pi * g.nodes)
-    image = apply_kernel(green_dirichlet(), f, g)
+    image = green_dirichlet().matrix(g) @ (g.weights * f)
     assert np.abs(image - f / math.pi**2).max() < 1e-5
-
-
-def test_apply_kernel_zero():
-    g = make_grid(TRAPEZOID, 51)
-    out = apply_kernel(heat_circle(0.2), np.zeros(51), g)
-    assert np.abs(out).max() == 0.0
 
 
 def test_apply_kernel_discrete_identity():
@@ -135,17 +128,7 @@ def test_apply_kernel_discrete_identity():
     spec = tabulated(np.diag(1.0 / g.weights), g)
     rng = np.random.default_rng(9)
     f = rng.standard_normal(40)
-    assert np.allclose(apply_kernel(spec, f, g), f, rtol=0, atol=1e-13)
-
-
-def test_apply_kernel_linear():
-    g = make_grid(TRAPEZOID, 101)
-    rng = np.random.default_rng(17)
-    f1, f2 = rng.standard_normal((2, 101))
-    spec = green_dirichlet()
-    lhs = apply_kernel(spec, 2.0 * f1 - 3.0 * f2, g)
-    rhs = 2.0 * apply_kernel(spec, f1, g) - 3.0 * apply_kernel(spec, f2, g)
-    assert np.abs(lhs - rhs).max() < 1e-13
+    assert np.allclose(spec.matrix(g) @ (g.weights * f), f, rtol=0, atol=1e-13)
 
 
 def test_diagonal_trace_green():
@@ -171,7 +154,7 @@ def test_diagonal_trace_heat_circle_matches_eigen_sum():
 def test_kernel_spec_validation():
     g = make_grid(TRAPEZOID, 4)
     with pytest.raises(ValueError):
-        heat_line(-0.5)
+        heat_circle(-0.5)
     with pytest.raises(ValueError):
         heat_circle(0.5, l_max=0)
     with pytest.raises(ValueError):
@@ -182,7 +165,7 @@ def test_kernel_spec_validation():
         tabulated(lopsided, g)
 
 
-@pytest.mark.parametrize("make", [heat_line, heat_circle])
+@pytest.mark.parametrize("make", [heat_circle])
 def test_heat_matrix_refuses_kernels_narrower_than_the_grid(make):
     g = make_grid(MIDPOINT, 16)
     t = g.spacing**2 / 2.0  # standard deviation sqrt(2t) equal to the spacing
@@ -191,23 +174,26 @@ def test_heat_matrix_refuses_kernels_narrower_than_the_grid(make):
         make(t / 2.0).matrix(g)
 
 
-def test_tabulated_interpolation_between_nodes():
+def test_tabulated_kernel_is_exact_on_its_nodes_and_refused_elsewhere():
     g = make_grid(TRAPEZOID, 11)
-    spec_exact = green_dirichlet()
-    table = tabulated(spec_exact.matrix(g), g)
-    # bilinear interpolation of a kink-free region is second-order accurate
-    assert abs(table.evaluate(0.22, 0.74) - eval_green(0.22, 0.74)) < 5e-3
-    # and exact on the nodes themselves
-    assert table.evaluate(g.nodes[3], g.nodes[7]) == spec_exact.evaluate(
-        g.nodes[3], g.nodes[7])
+    table = tabulated(green_dirichlet().matrix(g), g)
+    assert table.evaluate(g.nodes[3], g.nodes[7]) == eval_green(g.nodes[3], g.nodes[7])
+    assert np.array_equal(table.evaluate(g.nodes, g.nodes), np.diagonal(table.values))
+    assert diagonal_trace(table, g) == diagonal_trace(green_dirichlet(), g)
+    for call in (lambda: table.matrix(make_grid(TRAPEZOID, 12)),
+                 lambda: table.matrix(make_grid(MIDPOINT, 11)),
+                 lambda: diagonal_trace(table, make_grid(MIDPOINT, 11)),
+                 lambda: table.evaluate(0.22, g.nodes[7]),
+                 lambda: table.evaluate(g.nodes, g.nodes + 1e-9)):
+        with pytest.raises(ValueError, match="own grid") as info:
+            call()
+        assert "\n" not in str(info.value)
 
 
-def test_tabulated_csv_roundtrip(tmp_path):
+def test_tabulated_csv_roundtrip(write_kernel_csv):
     g = make_grid(MIDPOINT, 9)
     spec = tabulated(heat_circle(0.3).matrix(g), g)
-    path = tmp_path / "kernel.csv"
-    kernel_to_csv(spec, path)
-    loaded = kernel_from_csv(path)
+    loaded = kernel_from_csv(write_kernel_csv(spec))
     assert loaded.grid.kind == MIDPOINT
     assert np.array_equal(loaded.values, spec.values)
     assert np.array_equal(loaded.grid.nodes, g.nodes)

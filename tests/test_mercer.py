@@ -141,7 +141,7 @@ def test_blocked_reconstruction_matches_one_block(monkeypatch):
 
 
 def test_reconstruction_refuses_more_mode_samples_than_the_cap(monkeypatch):
-    monkeypatch.setattr(sturm, "_MAX_MODE_VALUES", 1000)
+    monkeypatch.setattr(mercer, "_MAX_MODE_VALUES", 1000)
     assert mercer_reconstruct(100, 10).k_max == 100
     with pytest.raises(ValueError, match="cap"):
         mercer_reconstruct(101, 10)

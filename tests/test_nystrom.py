@@ -7,13 +7,13 @@ import pytest
 from tracelab.kernels import green_dirichlet, heat_circle, tabulated
 from tracelab.linalg import eigh_eigen, jacobi_eigen
 from tracelab.nystrom import (
+    JACOBI_SIZE_LIMIT,
     discretize,
     operator_spectrum,
     spectrum_to_csv,
     trace_formula_check,
 )
 from tracelab.quadrature import TRAPEZOID, inner_product, make_grid
-from tracelab.kernels import apply_kernel
 
 
 def analytic_green_eigenvalue(k):
@@ -67,6 +67,20 @@ def test_discretize_allocates_one_matrix():
     assert peak < 1.25 * 8 * n**2
 
 
+def test_eigh_decomposition_gathers_once():
+    n = 801
+    b = discretize(green_dirichlet(), make_grid(TRAPEZOID, n))
+    tracemalloc.start()
+    try:
+        d = eigh_eigen(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.vectors.shape == (n, n)
+    # LAPACK's eigenvectors plus the one sorting gather, and small temporaries
+    assert peak < 2.5 * 8 * n**2
+
+
 def test_operator_spectrum_green_eigenvalues():
     g = make_grid(TRAPEZOID, 401)
     spectrum = operator_spectrum(green_dirichlet(), g, 5)
@@ -114,7 +128,7 @@ def test_operator_spectrum_residuals():
     spec = green_dirichlet()
     spectrum = operator_spectrum(spec, g, 10)
     for lam, f in zip(spectrum.eigenvalues, spectrum.eigenfunctions):
-        image = apply_kernel(spec, f, g)
+        image = spec.matrix(g) @ (g.weights * f)
         assert np.abs(image - lam * f).max() < 1e-6 * (1.0 + abs(lam))
 
 
@@ -161,31 +175,26 @@ def test_eigensolvers_agree():
     table = rng.uniform(-1.0, 1.0, (40, 40))
     for spec, n in ((green_dirichlet(), 101), (heat_circle(0.05), 63),
                     (tabulated(table + table.T, make_grid(TRAPEZOID, 40)), 40)):
-        g = make_grid(TRAPEZOID, n)
-        jac = trace_formula_check(spec, g, eigensolver="jacobi")
-        lap = trace_formula_check(spec, g, eigensolver="eigh")
-        assert abs(jac.eig_sum - lap.eig_sum) < 1e-12
-        assert max(jac.residual, lap.residual) < 1e-12
-    g = make_grid(TRAPEZOID, 101)
-    vals_j = operator_spectrum(green_dirichlet(), g, 10, eigensolver="jacobi").eigenvalues
-    vals_e = operator_spectrum(green_dirichlet(), g, 10, eigensolver="eigh").eigenvalues
+        b = discretize(spec, make_grid(TRAPEZOID, n))
+        jac = jacobi_eigen(b, values_only=True)
+        lap = np.linalg.eigvalsh(b.entries)[::-1]
+        trace = np.trace(b.entries)
+        assert abs(jac.sum() - lap.sum()) < 1e-12
+        assert max(abs(jac.sum() - trace), abs(lap.sum() - trace)) < 1e-12
+    b = discretize(green_dirichlet(), make_grid(TRAPEZOID, 101))
+    vals_j = jacobi_eigen(b).values[:10]
+    vals_e = eigh_eigen(b).values[:10]
     assert np.abs(vals_j - vals_e).max() < 1e-12
 
 
-def test_unknown_eigensolver_rejected():
-    g = make_grid(TRAPEZOID, 11)
-    with pytest.raises(ValueError, match="unknown eigensolver"):
-        trace_formula_check(green_dirichlet(), g, eigensolver="qr")
-    with pytest.raises(ValueError, match="unknown eigensolver"):
-        operator_spectrum(green_dirichlet(), g, 2, eigensolver="qr")
-
-
 def test_eigenfunction_signs_match_per_pair_loop():
-    # the per-eigenpair loop the vectorized sign fix replaced, as reference
-    g = make_grid(TRAPEZOID, 61)
+    # the per-eigenpair loop the vectorized sign fix replaced, as reference;
+    # operator_spectrum decomposes by Jacobi at n = 61 and by LAPACK at n = 201
     spec = heat_circle(0.01)
-    for solver, solve in (("jacobi", jacobi_eigen), ("eigh", eigh_eigen)):
-        spectrum = operator_spectrum(spec, g, 8, eigensolver=solver)
+    for n, solve in ((61, jacobi_eigen), (201, eigh_eigen)):
+        assert (n <= JACOBI_SIZE_LIMIT) == (solve is jacobi_eigen)
+        g = make_grid(TRAPEZOID, n)
+        spectrum = operator_spectrum(spec, g, 8)
         d = solve(discretize(spec, g))
         order = np.argsort(-np.abs(d.values), kind="stable")[:8]
         for row, k in enumerate(order):

