@@ -25,7 +25,7 @@ TABULATED = "tabulated"
 _OFF_GRID = "a tabulated kernel is defined on the nodes of its own grid only"
 
 # Cap on the images per side of the periodized heat kernel, which the default
-# truncation reaches near t = 4e4, where the kernel is constant to double precision
+# truncation reaches near t = 4.2e4, where the kernel is constant to double precision
 _MAX_IMAGES = 10**4
 
 
@@ -193,6 +193,11 @@ def green_dirichlet() -> KernelSpec:
 def heat_circle(t: float, l_max: int | None = None) -> KernelSpec:
     if l_max is None:
         l_max = default_heat_truncation(t)
+        if l_max > _MAX_IMAGES:
+            # the largest t whose default truncation stays within the cap
+            t_cap = ((_MAX_IMAGES - 1) / (8.0 * math.sqrt(-math.log(1e-16)))) ** 2
+            raise ValueError(f"{HEAT_CIRCLE} at t={t} needs more than {_MAX_IMAGES} images "
+                             f"per side; the cap allows t <= {t_cap:.3g}")
     return KernelSpec(kind=HEAT_CIRCLE, t=t, l_max=l_max)
 
 

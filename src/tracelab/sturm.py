@@ -67,11 +67,16 @@ def filtered_series(values: np.ndarray, grid: Grid, k_max: int, modes, gain) -> 
     first summed into bins k mod M: the result is the mode sum for every
     k_max, also k_max >= n, where the modes alias.  M and 2 x0 / h must be
     whole numbers, as they are on both built-in grids.
+
+    `gain` must map mu to values that are >= 0 and nonincreasing in mu, as
+    1/mu and exp(-mu t) are: the fold stops after the first block of k
+    that ends in a gain of exactly 0, since every later gain is 0 too.
     """
     if k_max > _MAX_MODES:
         raise ValueError(f"k_max={k_max} exceeds the cap of {_MAX_MODES:.0e} modes")
     periodic = modes is trig_modes  # cos and sin rows; sine_modes has sin rows only
-    nu = math.sqrt(modes([1], grid.nodes[:0])[0][0])
+    mu_1 = float(modes([1], grid.nodes[:0])[0][0])
+    nu = math.sqrt(mu_1)
     h, x0 = grid.spacing, float(grid.nodes[0])
     size = round(2.0 * math.pi / (nu * h))
     if abs(size * nu * h - 2.0 * math.pi) > 1e-9 or abs(2.0 * x0 / h - round(2.0 * x0 / h)) > 1e-9:
@@ -80,9 +85,10 @@ def filtered_series(values: np.ndarray, grid: Grid, k_max: int, modes, gain) -> 
     bins = np.zeros(size)
     for first in range(1, k_max + 1, _BLOCK_VALUES):
         k = np.arange(first, min(first + _BLOCK_VALUES, k_max + 1))
-        mu = modes(k, grid.nodes[:0])[0]
-        bins += np.bincount(k % size, weights=gain(mu[::2] if periodic else mu),
-                            minlength=size)
+        gains = gain(mu_1 * k.astype(float) ** 2)  # the mu of `modes`, bit for bit
+        bins += np.bincount(k % size, weights=gains, minlength=size)
+        if gains[-1] == 0.0:
+            break
     half = np.arange(size // 2 + 1)
     folded = bins[half] + bins[-half % size]
     weighted = np.bincount(np.arange(grid.n) % size, weights=grid.weights * values,

@@ -1,5 +1,7 @@
 import csv
+import importlib
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 import tracelab
-from tracelab import kernels, mercer, nystrom
+from tracelab import cli, kernels, mercer, nystrom
 from tracelab.cli import main
 from tracelab.quadrature import TRAPEZOID, make_grid
 
@@ -222,6 +224,50 @@ def test_public_surface_is_pinned():
     ]
 
 
+def test_public_names_resolve_lazily_to_their_submodules():
+    namespace = {}
+    exec("from tracelab import *", namespace)
+    for name in tracelab.__all__:
+        module = importlib.import_module(f"tracelab.{tracelab._SUBMODULE[name]}")
+        assert getattr(tracelab, name) is getattr(module, name) is namespace[name]
+    # looked up on every read, so a name rebound in its submodule is what the
+    # package returns
+    assert not set(tracelab.__all__) & set(vars(tracelab))
+    assert set(tracelab.__all__) <= set(dir(tracelab))
+    with pytest.raises(AttributeError):
+        tracelab.no_such_name
+
+
+def _fresh_python(code, **env):
+    """Run code in a new interpreter whose environment holds no BLAS spin timeout."""
+    child_env = {k: v for k, v in os.environ.items()
+                 if k not in ("OPENBLAS_THREAD_TIMEOUT", "GOTO_THREAD_TIMEOUT")}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=child_env | env)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
+
+
+def test_importing_the_package_loads_no_numpy():
+    assert _fresh_python("import sys, tracelab; print('numpy' in sys.modules)") == "False"
+
+
+def test_cli_sets_the_blas_spin_timeout_unless_the_user_did():
+    code = "import os, tracelab.cli; print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))"
+    assert _fresh_python(code) == cli._BLAS_SPIN_TIMEOUT
+    assert _fresh_python(code, OPENBLAS_THREAD_TIMEOUT="7") == "7"
+    assert _fresh_python(code, GOTO_THREAD_TIMEOUT="7") == "None"
+
+
+def test_cli_leaves_the_environment_of_a_process_holding_numpy_alone():
+    # the timeout takes effect only when numpy loads; later it would only
+    # leak into the caller's environment and its child processes
+    code = ("import os, numpy, tracelab.cli as cli; before = dict(os.environ); "
+            "cli.main(['basel', '--kmax', '10']); print(dict(os.environ) == before, "
+            "'OPENBLAS_THREAD_TIMEOUT' in os.environ)")
+    assert _fresh_python(code).splitlines()[-1] == "True False"
+
+
 def test_console_script_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "tracelab.cli", "basel", "--kmax", "100"],
@@ -311,6 +357,13 @@ BAD_INPUTS = [
 ]
 
 
+# error lines that must name the offending value
+NAMED_IN_ERROR = {
+    "heat-compare --t 1e308 --n 16": "t=1e+308",
+    "heat-trace --t 1e300": "t=1e+300",
+}
+
+
 def run_under_alarm(capsys, argv):
     """run() under a 5 s alarm, asserting that it returns within 1 s."""
     def expire(signum, frame):
@@ -339,7 +392,9 @@ def test_bad_input_exits_fast_without_traceback(capsys, tmp_path, monkeypatch,
     assert code == expected
     assert out == ""
     assert "Traceback" not in err
-    assert "error: " in err.strip().splitlines()[-1]  # after argparse's usage line
+    line = err.strip().splitlines()[-1]  # after argparse's usage line
+    assert "error: " in line and len(line) < 160
+    assert NAMED_IN_ERROR.get(" ".join(argv), "") in line
 
 
 def test_bvp_work_is_capped_on_k_max_alone(capsys):
@@ -348,6 +403,14 @@ def test_bvp_work_is_capped_on_k_max_alone(capsys):
         capsys, ["bvp-compare", "--n", "100001", "--kmax", "100000", "--trials", "1"])
     assert code == 0 and err == ""
     assert float(out.split("max_sup_diff=")[1]) < 1e-6
+
+
+def test_heat_flow_work_stops_where_the_gains_underflow(capsys):
+    # every gain past k = 8 is exactly 0 at t = 0.25, so k_max = 1e8 costs one block
+    code, out, err = run_under_alarm(
+        capsys, ["heat-compare", "--n", "512", "--kmax", "100000000"])
+    assert code == 0 and err == ""
+    assert float(out.split("sup_diff=")[1]) < 1e-8
 
 
 def test_basel_beyond_the_cap_exits_fast(capsys):

@@ -102,6 +102,15 @@ def test_heat_evolve_methods_agree_on_random_data():
     assert np.abs(spectral - kernel).max() < 1e-8
 
 
+def test_spectral_heat_flow_stops_where_the_gains_underflow():
+    # exp(-4 pi^2 k^2 / 4) is exactly 0 from k = 9 on, so modes past the
+    # grid's own (k_max = 255) add nothing, even aliased onto its bins
+    g = make_grid(MIDPOINT, 512)
+    f = random_trig_sample(g, modes=5, seed=7)
+    assert np.array_equal(heat_evolve(f, g, 0.25, k_max=10**8),
+                          heat_evolve(f, g, 0.25, k_max=255))
+
+
 def test_heat_evolve_validation():
     g = make_grid(MIDPOINT, 16)
     with pytest.raises(ValueError):
