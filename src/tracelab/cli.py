@@ -30,7 +30,7 @@ from pathlib import Path
 # that already holds numpy, or a user's own setting, is left alone.  The
 # thread count, and with it every output bit, is unchanged.
 _BLAS_SPIN_TIMEOUT = "20"
-if "numpy" not in sys.modules and "GOTO_THREAD_TIMEOUT" not in os.environ:
+if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", _BLAS_SPIN_TIMEOUT)
 
 import numpy as np  # noqa: E402

@@ -24,6 +24,8 @@ TABULATED = "tabulated"
 
 _OFF_GRID = "a tabulated kernel is defined on the nodes of its own grid only"
 
+# Tail tolerance of the default heat-kernel truncation
+_HEAT_EPS = 1e-16
 # Cap on the images per side of the periodized heat kernel, which the default
 # truncation reaches near t = 4.2e4, where the kernel is constant to double precision
 _MAX_IMAGES = 10**4
@@ -43,7 +45,7 @@ def eval_green(x, y):
     return float(out) if out.ndim == 0 else out
 
 
-def default_heat_truncation(t: float, eps: float = 1e-16) -> int:
+def default_heat_truncation(t: float, eps: float = _HEAT_EPS) -> int:
     """Periodization cutoff ceil(1 + 8 sqrt(t) sqrt(-ln eps)).
 
     Chosen so the dropped Gaussian tail is far below eps; see
@@ -195,7 +197,7 @@ def heat_circle(t: float, l_max: int | None = None) -> KernelSpec:
         l_max = default_heat_truncation(t)
         if l_max > _MAX_IMAGES:
             # the largest t whose default truncation stays within the cap
-            t_cap = ((_MAX_IMAGES - 1) / (8.0 * math.sqrt(-math.log(1e-16)))) ** 2
+            t_cap = ((_MAX_IMAGES - 1) / (8.0 * math.sqrt(-math.log(_HEAT_EPS)))) ** 2
             raise ValueError(f"{HEAT_CIRCLE} at t={t} needs more than {_MAX_IMAGES} images "
                              f"per side; the cap allows t <= {t_cap:.3g}")
     return KernelSpec(kind=HEAT_CIRCLE, t=t, l_max=l_max)

@@ -240,8 +240,7 @@ def test_public_names_resolve_lazily_to_their_submodules():
 
 def _fresh_python(code, **env):
     """Run code in a new interpreter whose environment holds no BLAS spin timeout."""
-    child_env = {k: v for k, v in os.environ.items()
-                 if k not in ("OPENBLAS_THREAD_TIMEOUT", "GOTO_THREAD_TIMEOUT")}
+    child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=child_env | env)
     assert result.returncode == 0, result.stderr
@@ -256,7 +255,6 @@ def test_cli_sets_the_blas_spin_timeout_unless_the_user_did():
     code = "import os, tracelab.cli; print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))"
     assert _fresh_python(code) == cli._BLAS_SPIN_TIMEOUT
     assert _fresh_python(code, OPENBLAS_THREAD_TIMEOUT="7") == "7"
-    assert _fresh_python(code, GOTO_THREAD_TIMEOUT="7") == "None"
 
 
 def test_cli_leaves_the_environment_of_a_process_holding_numpy_alone():
