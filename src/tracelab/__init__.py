@@ -24,8 +24,7 @@ _EXPORTS = {
                 "green_dirichlet", "heat_circle", "tabulated"),
     "linalg": ("EigenDecomposition", "NumericalError", "SymMatrix", "eigh_eigen",
                "jacobi_eigen", "matrix_trace_identity"),
-    "mercer": ("BaselReport", "MercerReport", "basel_via_trace", "mercer_reconstruct",
-               "trace_chain_check"),
+    "mercer": ("BaselReport", "MercerReport", "basel_via_trace", "mercer_reconstruct"),
     "nystrom": ("OperatorSpectrum", "TraceFormulaReport", "discretize",
                 "operator_spectrum", "trace_formula_check"),
     "quadrature": ("MIDPOINT", "TRAPEZOID", "Grid", "inner_product", "integrate",

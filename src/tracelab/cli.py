@@ -347,6 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _argv_from_config(path: str) -> list[str]:
     with open(path) as fh:
         config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError("json config must be an object of option names and values")
     try:
         argv = [str(config.pop("command"))]
     except KeyError:

@@ -32,7 +32,9 @@ def read_csv(path):
     """Return (header, rows) with every cell parsed as float when possible."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path} is empty")
         rows = []
         for raw in reader:
             parsed = []

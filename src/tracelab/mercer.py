@@ -13,18 +13,20 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import sturm
 from .fileio import write_json
-from .kernels import eval_green
-from .quadrature import Grid, integrate
+from .kernels import green_dirichlet
+from .quadrature import TRAPEZOID, make_grid
 
 # Basel terms per chunk, and the work cap on k_max: 10**8 terms take about
 # 0.33 s on a 2-vCPU machine, so the cap is about 3 s of work
 _BASEL_CHUNK = 2**16
 _MAX_BASEL_TERMS = 10**9
-# Work cap on the k_max x lattice_n mode samples of the reconstruction
-_MAX_MODE_VALUES = 10**8
+# Cap on the lattice side: the reconstruction holds one lattice_n^2 float64
+# array, so a run at the cap takes about 1.1 s and 800 MiB on a 2-vCPU machine
+_MAX_LATTICE = 10**4
 
 
 @dataclass(frozen=True)
@@ -55,29 +57,30 @@ def _partial_inverse_square_sum(k_max: int) -> float:
 def mercer_reconstruct(k_max: int, lattice_n: int) -> MercerReport:
     """Compare the truncated eigen-series with the Green kernel on a lattice.
 
-    sup_error is the max over a lattice_n x lattice_n uniform lattice of
-    the absolute truncation error; since the modes are bounded by sqrt(2),
-    the dropped tail is pointwise at most 2/(pi^2 k_max).  The series is
-    accumulated over blocks of at most sturm._BLOCK_VALUES mode samples,
-    and k_max * lattice_n is capped at _MAX_MODE_VALUES.
+    sup_error is the max over the lattice_n x lattice_n lattice of nodes
+    x_i = i/(L-1) of the absolute truncation error; since the modes are
+    bounded by sqrt(2), the dropped tail is pointwise at most 2/(pi^2 k_max).
+
+    No mode is sampled.  With M = 2(L-1), 2 sin(k pi x_i) sin(k pi x_j) is
+    cos(2 pi k (i-j)/M) - cos(2 pi k (i+j)/M), so the truncated series is
+    c[|i-j|] - c[i+j] with c_m = sum_s b_s cos(2 pi s m / M), where b holds
+    the gains 1/mu_k folded into bins k mod M (`sturm._folded_gains`): one
+    real FFT of M values.  Memory is one L^2 array and the fold's blocks,
+    whatever k_max; k_max is capped by sturm._MAX_MODES and lattice_n by
+    _MAX_LATTICE.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if lattice_n < 2:
-        raise ValueError(f"lattice_n must be >= 2, got {lattice_n}")
-    if k_max * lattice_n > _MAX_MODE_VALUES:
-        raise ValueError(f"k_max={k_max} and lattice_n={lattice_n} need "
-                         f"{k_max * lattice_n:.3g} sampled mode values; "
-                         f"the cap is {_MAX_MODE_VALUES:.0e}")
-    xs = np.linspace(0.0, 1.0, lattice_n)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    target = eval_green(X, Y)
-    step = max(1, sturm._BLOCK_VALUES // lattice_n)
-    series = np.zeros_like(target)
-    for first in range(1, k_max + 1, step):
-        mu, modes = sturm.sine_modes(np.arange(first, min(first + step, k_max + 1)), xs)
-        series += (modes.T / mu) @ modes
-    sup_error = float(np.abs(target - series).max())
+    if not 2 <= lattice_n <= _MAX_LATTICE:
+        raise ValueError(f"lattice_n must be in [2, {_MAX_LATTICE}], got {lattice_n}")
+    bins = sturm._folded_gains(math.pi**2, k_max, 2 * (lattice_n - 1), lambda mu: 1.0 / mu)
+    c = np.fft.rfft(bins).real  # c_0 .. c_{L-1}; c_{M-m} = c_m gives the rest
+    error = green_dirichlet().matrix(make_grid(TRAPEZOID, lattice_n))
+    # window s of [c_{L-1}, ..., c_1, c_0, c_1, ..., c_{L-1}] is row L-1-s of
+    # c[|i-j|], and window i of [c_0, ..., c_{L-1}, ..., c_0] is row i of c[i+j]
+    error -= sliding_window_view(np.concatenate((c[:0:-1], c)), lattice_n)[::-1]
+    error += sliding_window_view(np.concatenate((c, c[-2::-1])), lattice_n)
+    sup_error = float(np.abs(error, out=error).max())
     return MercerReport(
         k_max=k_max,
         sup_error=sup_error,
@@ -106,36 +109,6 @@ def basel_via_trace(k_max: int) -> BaselReport:
     lhs = _partial_inverse_square_sum(k_max)
     rhs = math.pi**2 / 6.0
     return BaselReport(lhs=lhs, rhs=rhs, gap=rhs - lhs)
-
-
-@dataclass(frozen=True)
-class ExchangeReport:
-    """Both orders of summing/integrating the truncated diagonal series."""
-
-    integral_of_sum: float
-    sum_of_integrals: float
-    diff: float
-
-
-def trace_chain_check(k_max: int, grid: Grid) -> ExchangeReport:
-    """Swap integral and (finite) sum over lam_k f_k(x)^2 and compare.
-
-    integral_of_sum integrates the pointwise-truncated series once;
-    sum_of_integrals integrates each mode separately and sums.  Finite
-    sums commute with the quadrature exactly, so diff exposes only
-    floating-point summation-order effects.
-    """
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
-    mu, modes = sturm.sine_modes(np.arange(1, k_max + 1), grid.nodes)
-    terms = modes**2 / mu[:, None]
-    integral_of_sum = integrate(terms.sum(axis=0), grid)
-    sum_of_integrals = float(np.sum((terms * grid.weights).sum(axis=1)[::-1]))
-    return ExchangeReport(
-        integral_of_sum=integral_of_sum,
-        sum_of_integrals=sum_of_integrals,
-        diff=abs(integral_of_sum - sum_of_integrals),
-    )
 
 
 def report_to_json(report: MercerReport, path) -> None:

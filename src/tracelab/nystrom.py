@@ -64,8 +64,10 @@ def operator_spectrum(spec: KernelSpec, grid: Grid, count: int) -> OperatorSpect
 
     Jacobi decomposes matrices up to JACOBI_SIZE_LIMIT, LAPACK larger ones.
     Eigenvector samples are un-weighted back to function samples via
-    f_k(x_i) = v_ik / sqrt(w_i); the sign is fixed by making the component
-    of largest magnitude positive.
+    f_k(x_i) = v_ik / sqrt(w_i).  The sign is fixed by making the first
+    component above 1e-8 max|f_k| positive: the largest magnitude can be
+    reached at nodes of opposite sign, where round-off would pick the sign.
+    For the Green kernel this gives the sines' positive slope at x = 0.
     """
     if count < 1 or count > grid.n:
         raise ValueError(f"count must be in [1, {grid.n}], got {count}")
@@ -74,7 +76,9 @@ def operator_spectrum(spec: KernelSpec, grid: Grid, count: int) -> OperatorSpect
     order = np.argsort(-np.abs(decomposition.values), kind="stable")[:count]
     values = decomposition.values[order]
     functions = decomposition.vectors[:, order].T / np.sqrt(grid.weights)
-    anchors = functions[np.arange(count), np.abs(functions).argmax(axis=1)]
+    magnitudes = np.abs(functions)
+    first = (magnitudes > 1e-8 * magnitudes.max(axis=1, keepdims=True)).argmax(axis=1)
+    anchors = functions[np.arange(count), first]
     functions[anchors < 0.0] *= -1.0
     return OperatorSpectrum(eigenvalues=values, eigenfunctions=functions, grid=grid)
 

@@ -23,8 +23,7 @@ import numpy as np
 from .fileio import write_csv
 from .quadrature import Grid, _check_sampled
 
-# Block size of mode-matrix sums (the Mercer reconstruction) and of the gain
-# fold below: 2**18 float64 samples are 2 MiB
+# Block size of the gain fold below: 2**18 float64 gains are 2 MiB
 _BLOCK_VALUES = 2**18
 # Work cap on k_max, checked before the work starts: folding 10**8 gains
 # takes 1 s (1/mu) to 4 s (exp) on a 2-vCPU machine; the transforms add
@@ -54,6 +53,27 @@ def trig_modes(k, x) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(4.0 * math.pi**2 * k**2, 2), rows
 
 
+def _folded_gains(mu_1: float, k_max: int, size: int, gain) -> np.ndarray:
+    """gain(mu_k) for k = 1..k_max, mu_k = mu_1 k^2, summed into bins k mod size.
+
+    The gains are made and folded in blocks of _BLOCK_VALUES, so memory
+    does not grow with k_max, and k_max is capped at _MAX_MODES.  `gain`
+    must map mu to values that are >= 0 and nonincreasing in mu, as 1/mu
+    and exp(-mu t) are: the fold stops after the first block that ends in
+    a gain of exactly 0, since every later gain is 0 too.
+    """
+    if k_max > _MAX_MODES:
+        raise ValueError(f"k_max={k_max} exceeds the cap of {_MAX_MODES:.0e} modes")
+    bins = np.zeros(size)
+    for first in range(1, k_max + 1, _BLOCK_VALUES):
+        k = np.arange(first, min(first + _BLOCK_VALUES, k_max + 1))
+        gains = gain(mu_1 * k.astype(float) ** 2)  # the mu of the mode families, bit for bit
+        bins += np.bincount(k % size, weights=gains, minlength=size)
+        if gains[-1] == 0.0:
+            break
+    return bins
+
+
 def filtered_series(values: np.ndarray, grid: Grid, k_max: int, modes, gain) -> np.ndarray:
     """Sum of gain(mu) <values, phi> phi over the rows phi of modes(1..k_max, x).
 
@@ -66,14 +86,9 @@ def filtered_series(values: np.ndarray, grid: Grid, k_max: int, modes, gain) -> 
     sign, which projection and resummation square away.  So the gains are
     first summed into bins k mod M: the result is the mode sum for every
     k_max, also k_max >= n, where the modes alias.  M and 2 x0 / h must be
-    whole numbers, as they are on both built-in grids.
-
-    `gain` must map mu to values that are >= 0 and nonincreasing in mu, as
-    1/mu and exp(-mu t) are: the fold stops after the first block of k
-    that ends in a gain of exactly 0, since every later gain is 0 too.
+    whole numbers, as they are on both built-in grids.  `gain` is folded
+    by `_folded_gains`, which states what it must satisfy.
     """
-    if k_max > _MAX_MODES:
-        raise ValueError(f"k_max={k_max} exceeds the cap of {_MAX_MODES:.0e} modes")
     periodic = modes is trig_modes  # cos and sin rows; sine_modes has sin rows only
     mu_1 = float(modes([1], grid.nodes[:0])[0][0])
     nu = math.sqrt(mu_1)
@@ -82,13 +97,7 @@ def filtered_series(values: np.ndarray, grid: Grid, k_max: int, modes, gain) -> 
     if abs(size * nu * h - 2.0 * math.pi) > 1e-9 or abs(2.0 * x0 / h - round(2.0 * x0 / h)) > 1e-9:
         raise ValueError("series transforms need nodes x0 + i h with 2 pi / (nu h) "
                          "and 2 x0 / h whole numbers")
-    bins = np.zeros(size)
-    for first in range(1, k_max + 1, _BLOCK_VALUES):
-        k = np.arange(first, min(first + _BLOCK_VALUES, k_max + 1))
-        gains = gain(mu_1 * k.astype(float) ** 2)  # the mu of `modes`, bit for bit
-        bins += np.bincount(k % size, weights=gains, minlength=size)
-        if gains[-1] == 0.0:
-            break
+    bins = _folded_gains(mu_1, k_max, size, gain)
     half = np.arange(size // 2 + 1)
     folded = bins[half] + bins[-half % size]
     weighted = np.bincount(np.arange(grid.n) % size, weights=grid.weights * values,

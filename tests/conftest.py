@@ -1,6 +1,22 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import tracelab
 from tracelab.fileio import write_csv
+
+
+@pytest.fixture(autouse=True)
+def children_import_this_tracelab(monkeypatch):
+    """Interpreters the tests start import the package this one imported.
+
+    pytest finds the package through its `pythonpath` setting, which child
+    processes do not inherit, so it goes into their PYTHONPATH too.
+    """
+    src = str(Path(tracelab.__file__).resolve().parents[1])
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
 
 
 @pytest.fixture

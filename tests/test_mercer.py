@@ -1,17 +1,15 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracelab import mercer, sturm
 from tracelab.kernels import eval_green, green_dirichlet
-from tracelab.mercer import (
-    basel_via_trace,
-    mercer_reconstruct,
-    report_to_json,
-    trace_chain_check,
-)
+from tracelab.mercer import basel_via_trace, mercer_reconstruct, report_to_json
 from tracelab.nystrom import operator_spectrum
 from tracelab.quadrature import TRAPEZOID, make_grid
 
@@ -78,30 +76,6 @@ def test_basel_rejects_bad_kmax():
         basel_via_trace(0)
 
 
-def test_trace_chain_finite_exchange():
-    g = make_grid(TRAPEZOID, 2001)
-    report = trace_chain_check(50, g)
-    assert report.diff < 1e-10
-
-
-def test_trace_chain_value_bracket():
-    g = make_grid(TRAPEZOID, 2001)
-    k_max = 50
-    report = trace_chain_check(k_max, g)
-    # quadrature is exact enough that the truncated value sits in the
-    # analytic tail bracket around 1/6
-    low = 1.0 / 6.0 - 1.0 / (math.pi**2 * k_max)
-    high = 1.0 / 6.0 - 1.0 / (math.pi**2 * (k_max + 1))
-    assert low < report.integral_of_sum < high
-    assert low < report.sum_of_integrals < high
-
-
-def test_trace_chain_empty_truncation():
-    g = make_grid(TRAPEZOID, 11)
-    report = trace_chain_check(0, g)
-    assert (report.integral_of_sum, report.sum_of_integrals, report.diff) == (0.0, 0.0, 0.0)
-
-
 def test_analytic_partial_sums_match_nystrom():
     g = make_grid(TRAPEZOID, 801)
     numeric = operator_spectrum(green_dirichlet(), g, 10).eigenvalues.sum()
@@ -132,19 +106,55 @@ def test_report_json(tmp_path):
     assert payload["basel_target"] == pytest.approx(math.pi**2 / 6.0, rel=1e-15)
 
 
+def mode_sum_sup_error(k_max, lattice_n):
+    """sup |G - sum_k lam_k f_k(x) f_k(y)| with every mode sampled: the oracle of the fold."""
+    xs = np.linspace(0.0, 1.0, lattice_n)
+    mu, modes = sturm.sine_modes(np.arange(1, k_max + 1), xs)
+    series = (modes.T / mu) @ modes
+    return float(np.abs(eval_green(*np.meshgrid(xs, xs, indexing="ij")) - series).max())
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(lattice_n=st.integers(min_value=2, max_value=60), data=st.data())
+def test_reconstruction_matches_the_mode_sum(lattice_n, data):
+    # k_max up to twice the fold length 2(L-1), where the modes alias
+    k_max = data.draw(st.integers(min_value=1, max_value=4 * lattice_n))
+    report = mercer_reconstruct(k_max, lattice_n)
+    assert abs(report.sup_error - mode_sum_sup_error(k_max, lattice_n)) <= 1e-15
+
+
 def test_blocked_reconstruction_matches_one_block(monkeypatch):
     whole = mercer_reconstruct(300, 41)
-    monkeypatch.setattr(sturm, "_BLOCK_VALUES", 41 * 7)  # 43 blocks of 7 modes
+    monkeypatch.setattr(sturm, "_BLOCK_VALUES", 7)  # the fold runs 43 blocks of 7 modes
     blocked = mercer_reconstruct(300, 41)
     assert abs(blocked.sup_error - whole.sup_error) <= 1e-15
     assert blocked.sup_error <= blocked.tail_bound
 
 
+def test_reconstruction_memory_does_not_grow_with_k_max():
+    # one L^2 array plus the gather's slack; the fold runs before that array
+    # exists and holds at most a few blocks of sturm._BLOCK_VALUES floats
+    lattice_n = 801
+    peaks = {}
+    for k_max in (100, 10**6):
+        tracemalloc.start()
+        mercer_reconstruct(k_max, lattice_n)
+        peaks[k_max] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peaks[100] < 2 * 8 * lattice_n**2
+    assert peaks[10**6] - peaks[100] <= 4 * 8 * sturm._BLOCK_VALUES
+
+
 def test_reconstruction_refuses_more_mode_samples_than_the_cap(monkeypatch):
-    monkeypatch.setattr(mercer, "_MAX_MODE_VALUES", 1000)
-    assert mercer_reconstruct(100, 10).k_max == 100
+    # k_max is capped by the fold alone, lattice_n by the L^2 array
+    monkeypatch.setattr(sturm, "_MAX_MODES", 1000)
+    assert mercer_reconstruct(1000, 10).k_max == 1000
     with pytest.raises(ValueError, match="cap"):
-        mercer_reconstruct(101, 10)
+        mercer_reconstruct(1001, 3)
+    monkeypatch.setattr(mercer, "_MAX_LATTICE", 12)
+    assert mercer_reconstruct(1, 12).k_max == 1
+    with pytest.raises(ValueError, match="lattice_n"):
+        mercer_reconstruct(1, 13)
 
 
 def test_chunked_basel_sum_matches_one_sum():

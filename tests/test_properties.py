@@ -43,6 +43,18 @@ def test_heat_spectral_matches_kernel(n, seed, t):
     assert np.abs(spectral - kernel).max() < 1e-12
 
 
+@PROPERTY
+@given(n=st.integers(min_value=8, max_value=240), kind=st.sampled_from((TRAPEZOID, MIDPOINT)))
+def test_green_eigenfunctions_are_the_sines_signs_included(n, kind):
+    # Jacobi decomposes up to n = 160 and LAPACK above; on both grids the
+    # discrete Green eigenvectors are sqrt(2) sin(k pi x) on the nodes
+    g = make_grid(kind, n)
+    spectrum = nystrom.operator_spectrum(kernels.green_dirichlet(), g, 6)
+    sines = sturm.sine_modes(np.arange(1, 7), g.nodes)[1]
+    sines /= np.sqrt(sines**2 @ g.weights)[:, None]
+    assert np.abs(spectrum.eigenfunctions - sines).max() < 1e-9
+
+
 def mode_sum(values, grid, k_max, modes, gain):
     """The series as an explicit sum over mode rows: the oracle of the FFT.
 
