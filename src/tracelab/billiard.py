@@ -292,6 +292,8 @@ def length_spectrum(table: Table, l_max: float, max_bounces: int = 64) -> Length
                     entries.append((length, (p, q)))
     else:
         # the (n, q) pairs below number about max_bounces^2 / 4
+        if max_bounces < 2:
+            raise ValueError(f"max_bounces must be >= 2 (the diameter), got {max_bounces}")
         if max_bounces > math.isqrt(_MAX_CANDIDATES):
             raise ValueError(f"max_bounces={max_bounces} is above the cap of "
                              f"{math.isqrt(_MAX_CANDIDATES)}")

@@ -41,6 +41,9 @@ from .linalg import NumericalError  # noqa: E402
 from .quadrature import MIDPOINT, TRAPEZOID, make_grid  # noqa: E402
 
 _GRID_NAMES = {"trapezoid": TRAPEZOID, "midpoint": MIDPOINT}
+# Work cap on the wave-trace time grid, counted before it is built; the
+# trace costs eigenvalues x steps, see wavetrace._MAX_LATTICE
+_MAX_TIME_STEPS = 10**4
 
 
 def finite(text: str) -> float:
@@ -100,7 +103,7 @@ def _cmd_spectrum(args):
     analytic = None
     headline = f"lambda1={float(spectrum.eigenvalues[0])!r}"
     if args.kernel == "green":
-        mu, _ = sturm.sine_modes(np.arange(1, args.count + 1), grid.nodes)
+        mu, _ = sturm.sine_modes(np.arange(1, args.count + 1), grid.nodes[:0])
         analytic = 1.0 / mu
         rel = np.abs(spectrum.eigenvalues - analytic) / analytic
         headline += f" max_rel_err={rel.max():.3e}"
@@ -224,6 +227,9 @@ def _cmd_length_spectrum(args):
 def _cmd_wave_trace(args):
     if args.t_step <= 0.0:
         raise ValueError(f"t-step must be positive, got {args.t_step}")
+    if (args.t_max - args.t_min) / args.t_step > _MAX_TIME_STEPS:
+        raise ValueError(f"t-step={args.t_step} gives more than {_MAX_TIME_STEPS} time "
+                         "steps from t-min to t-max, the cap")
     mu_max = args.mu_max
     if mu_max is None:
         mu_max = math.pi**2 * (80**2 + 1)

@@ -123,6 +123,8 @@ def heat_evolve(f: np.ndarray, grid: Grid, t: float, method: str = SPECTRAL,
 
 def random_trig_sample(grid: Grid, modes: int = 5, seed: int = 0) -> np.ndarray:
     """Seeded random 1-periodic function: constant plus `modes` cos/sin pairs."""
+    if modes < 1:
+        raise ValueError(f"modes must be >= 1, got {modes}")
     rng = np.random.default_rng(seed)
     # the same stream as drawing the constant, then a_k and b_k in turn
     draws = rng.standard_normal(2 * modes + 1)

@@ -22,8 +22,6 @@ GREEN = "green-dirichlet"
 HEAT_CIRCLE = "heat-circle"
 TABULATED = "tabulated"
 
-_OFF_GRID = "a tabulated kernel is defined on the nodes of its own grid only"
-
 # Tail tolerance of the default heat-kernel truncation
 _HEAT_EPS = 1e-16
 # Cap on the images per side of the periodized heat kernel, which the default
@@ -88,10 +86,10 @@ def eval_heat_periodic(t: float, x, y, l_max: int):
 
 @dataclass(frozen=True, eq=False)
 class KernelSpec:
-    """An evaluable symmetric kernel; use the factory helpers below.
+    """A symmetric kernel sampled on grids; use the factory helpers below.
 
     Tabulated kernels carry the grid they were sampled on and are defined
-    on its nodes only: evaluating them anywhere else is refused.
+    on its nodes only: sampling them on any other grid is refused.
     """
 
     kind: str
@@ -124,18 +122,14 @@ class KernelSpec:
         else:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
 
-    def evaluate(self, x, y):
-        """Kernel value(s) at (x, y); accepts scalars or broadcastable arrays."""
+    def diag(self, grid: Grid) -> np.ndarray:
+        """The kernel on the node pairs (x_i, x_i): the diagonal of `matrix`."""
         if self.kind == GREEN:
-            return eval_green(x, y)
+            return eval_green(grid.nodes, grid.nodes)
         if self.kind == HEAT_CIRCLE:
-            return eval_heat_periodic(self.t, x, y, self.l_max)
-        nodes = self.grid.nodes
-        i, j = (np.clip(np.searchsorted(nodes, v), 0, len(nodes) - 1) for v in (x, y))
-        if not (np.array_equal(nodes[i], x) and np.array_equal(nodes[j], y)):
-            raise ValueError(_OFF_GRID)
-        out = self.values[i, j]
-        return float(out) if out.ndim == 0 else out
+            return np.full(grid.n, eval_heat_periodic(self.t, 0.0, 0.0, self.l_max))
+        # a contiguous copy: np.dot sums a strided view in another order
+        return np.diagonal(self.matrix(grid)).copy()
 
     def row(self, grid: Grid) -> np.ndarray:
         """Heat kernel values k(x_m, x_0), m = 0..n-1, on a uniform grid.
@@ -151,7 +145,7 @@ class KernelSpec:
         if math.sqrt(2.0 * self.t) < grid.spacing:
             raise ValueError(f"{self.kind} kernel at t={self.t} is narrower than the grid "
                              f"spacing {grid.spacing:.3g}; needs t >= spacing^2 / 2")
-        return np.asarray(self.evaluate(grid.nodes - grid.nodes[0], 0.0))
+        return eval_heat_periodic(self.t, grid.nodes - grid.nodes[0], 0.0, self.l_max)
 
     def matrix(self, grid: Grid) -> np.ndarray:
         """Kernel sampled at all node pairs of the given grid.
@@ -167,8 +161,8 @@ class KernelSpec:
             row = self.row(grid)
             # window s of [c_{n-1}, ..., c_1, c_0, c_1, ..., c_{n-1}] is row n-1-s
             return sliding_window_view(np.concatenate((row[:0:-1], row)), grid.n)[::-1].copy()
-        if not np.array_equal(grid.nodes, self.grid.nodes):
-            raise ValueError(_OFF_GRID)
+        if grid != self.grid:
+            raise ValueError("a tabulated kernel is defined on the nodes of its own grid only")
         return self.values
 
 
@@ -209,8 +203,7 @@ def tabulated(values: np.ndarray, grid: Grid) -> KernelSpec:
 
 def diagonal_trace(spec: KernelSpec, grid: Grid) -> float:
     """Quadrature of the kernel diagonal x -> k(x, x)."""
-    diag = np.asarray(spec.evaluate(grid.nodes, grid.nodes))
-    return integrate(diag, grid)
+    return integrate(spec.diag(grid), grid)
 
 
 def kernel_from_csv(path) -> KernelSpec:

@@ -85,18 +85,15 @@ def filtered_series(values: np.ndarray, grid: Grid, k_max: int, modes, gain) -> 
     On the grid, modes k + M and M - k take the values of mode k up to a
     sign, which projection and resummation square away.  So the gains are
     first summed into bins k mod M: the result is the mode sum for every
-    k_max, also k_max >= n, where the modes alias.  M and 2 x0 / h must be
-    whole numbers, as they are on both built-in grids.  `gain` is folded
-    by `_folded_gains`, which states what it must satisfy.
+    k_max, also k_max >= n, where the modes alias.  M and 2 x0 / h are
+    whole numbers on both grid kinds.  `gain` is folded by `_folded_gains`,
+    which states what it must satisfy.
     """
     periodic = modes is trig_modes  # cos and sin rows; sine_modes has sin rows only
     mu_1 = float(modes([1], grid.nodes[:0])[0][0])
     nu = math.sqrt(mu_1)
     h, x0 = grid.spacing, float(grid.nodes[0])
     size = round(2.0 * math.pi / (nu * h))
-    if abs(size * nu * h - 2.0 * math.pi) > 1e-9 or abs(2.0 * x0 / h - round(2.0 * x0 / h)) > 1e-9:
-        raise ValueError("series transforms need nodes x0 + i h with 2 pi / (nu h) "
-                         "and 2 x0 / h whole numbers")
     bins = _folded_gains(mu_1, k_max, size, gain)
     half = np.arange(size // 2 + 1)
     folded = bins[half] + bins[-half % size]
@@ -161,8 +158,7 @@ def residual_check(u: np.ndarray, f: np.ndarray, grid: Grid) -> float:
     """Second-order finite-difference verification of -u'' = f.
 
     Max over interior nodes of |-(u_{i-1} - 2 u_i + u_{i+1})/h^2 - f_i|
-    plus the absolute boundary values of u.  Requires a uniform grid with
-    at least 5 nodes.
+    plus the absolute boundary values of u.  Requires at least 5 nodes.
     """
     uv = _check_sampled(u, grid, name="u")
     fv = _check_sampled(f, grid)

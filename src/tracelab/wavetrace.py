@@ -20,6 +20,10 @@ from .fileio import write_csv, write_json
 
 # Bound on the (eigenvalues x samples) workspace of the trace sums: 2 MiB
 _BLOCK_VALUES = 2**18
+# Work cap on the (n, m) lattice of rectangle_spectrum, counted before it is
+# built: 10**6 pairs, a 1000^2 cutoff, hold about 0.8 10**6 eigenvalues,
+# whose trace at the CLI's cap of 10**4 time samples takes about 9 s and 56 MB
+_MAX_LATTICE = 10**6
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,8 +43,11 @@ def rectangle_spectrum(a: float, b: float, mu_max: float) -> LaplaceSpectrum:
     """
     if a <= 0.0 or b <= 0.0 or mu_max <= 0.0:
         raise ValueError(f"need positive a, b, mu_max; got {a}, {b}, {mu_max}")
-    n_max = int(math.floor(a * math.sqrt(mu_max) / math.pi))
-    m_max = int(math.floor(b * math.sqrt(mu_max) / math.pi))
+    # a side past the cap is refused alike, also one whose product overflowed to inf
+    n_max, m_max = (math.floor(min(side * math.sqrt(mu_max) / math.pi, _MAX_LATTICE + 1))
+                    for side in (a, b))
+    if n_max * m_max > _MAX_LATTICE:
+        raise ValueError(f"mu_max={mu_max} needs more than {_MAX_LATTICE} (n, m) pairs, the cap")
     if n_max < 1 or m_max < 1:
         return LaplaceSpectrum(a=a, b=b, mu_max=mu_max, eigenvalues=np.empty(0))
     n = np.arange(1, n_max + 1)

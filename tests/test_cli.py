@@ -370,6 +370,15 @@ BAD_INPUTS = [
     (["mercer", "--lattice-n", "10001"], 2),
     (["trace-check", "--kernel", "{tmp}/empty.csv"], 2),
     (["--json-config", "{tmp}/list.json"], 2),
+    (["wave-trace", "--mu-max", "1e8"], 2),
+    (["wave-trace", "--mu-max", "1e10"], 2),
+    (["wave-trace", "--a", "1e308", "--mu-max", "1e10"], 2),
+    (["wave-trace", "--t-step", "1e-7"], 2),
+    (["wave-trace", "--t-min=-1e308", "--t-max=1e308"], 2),
+    (["heat-compare", "--modes", "0"], 2),
+    (["heat-compare", "--modes", "-1"], 2),
+    (["length-spectrum", "--shape", "disc", "--max-bounces", "1"], 2),
+    (["length-spectrum", "--shape", "disc", "--max-bounces", "-5"], 2),
 ]
 
 
@@ -377,6 +386,15 @@ BAD_INPUTS = [
 NAMED_IN_ERROR = {
     "heat-compare --t 1e308 --n 16": "t=1e+308",
     "heat-trace --t 1e300": "t=1e+300",
+    "wave-trace --mu-max 1e8": "mu_max=",
+    "wave-trace --mu-max 1e10": "mu_max=",
+    "wave-trace --a 1e308 --mu-max 1e10": "mu_max=",
+    "wave-trace --t-step 1e-7": "t-step=",
+    "wave-trace --t-min=-1e308 --t-max=1e308": "from t-min to t-max",
+    "heat-compare --modes 0": "modes",
+    "heat-compare --modes -1": "modes",
+    "length-spectrum --shape disc --max-bounces 1": "max_bounces",
+    "length-spectrum --shape disc --max-bounces -5": "max_bounces",
 }
 
 

@@ -111,8 +111,9 @@ def test_builtin_kernels_symmetric():
     rng = np.random.default_rng(3)
     x = rng.uniform(0, 1, 1000)
     y = rng.uniform(0, 1, 1000)
-    for spec in (green_dirichlet(), heat_circle(0.3)):
-        asym = np.abs(spec.evaluate(x, y) - spec.evaluate(y, x)).max()
+    for kernel in (eval_green,
+                   lambda x, y: eval_heat_periodic(0.3, x, y, default_heat_truncation(0.3))):
+        asym = np.abs(kernel(x, y) - kernel(y, x)).max()
         assert asym < 1e-14
 
 
@@ -177,14 +178,13 @@ def test_heat_matrix_refuses_kernels_narrower_than_the_grid(make):
 def test_tabulated_kernel_is_exact_on_its_nodes_and_refused_elsewhere():
     g = make_grid(TRAPEZOID, 11)
     table = tabulated(green_dirichlet().matrix(g), g)
-    assert table.evaluate(g.nodes[3], g.nodes[7]) == eval_green(g.nodes[3], g.nodes[7])
-    assert np.array_equal(table.evaluate(g.nodes, g.nodes), np.diagonal(table.values))
+    assert table.matrix(make_grid(TRAPEZOID, 11))[3, 7] == eval_green(g.nodes[3], g.nodes[7])
+    assert np.array_equal(table.diag(g), eval_green(g.nodes, g.nodes))
     assert diagonal_trace(table, g) == diagonal_trace(green_dirichlet(), g)
     for call in (lambda: table.matrix(make_grid(TRAPEZOID, 12)),
                  lambda: table.matrix(make_grid(MIDPOINT, 11)),
-                 lambda: diagonal_trace(table, make_grid(MIDPOINT, 11)),
-                 lambda: table.evaluate(0.22, g.nodes[7]),
-                 lambda: table.evaluate(g.nodes, g.nodes + 1e-9)):
+                 lambda: table.diag(make_grid(MIDPOINT, 11)),
+                 lambda: diagonal_trace(table, make_grid(MIDPOINT, 11))):
         with pytest.raises(ValueError, match="own grid") as info:
             call()
         assert "\n" not in str(info.value)

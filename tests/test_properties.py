@@ -345,6 +345,26 @@ def test_discretize_is_bit_identical_to_whole_array_reference(n, midpoint, kind,
 
 @PROPERTY
 @given(n=st.integers(min_value=2, max_value=300), midpoint=st.booleans(),
+       kind=st.sampled_from(["green", "heat-circle", "table"]),
+       t=st.floats(min_value=1e-5, max_value=2.0), l_max=st.sampled_from([None, 1, 2, 7]),
+       seed=SEEDS)
+def test_diag_is_the_matrix_diagonal_bit_for_bit(n, midpoint, kind, t, l_max, seed):
+    # diagonal_trace integrates diag, so the trace check's two sides see the same values
+    g = make_grid(MIDPOINT if midpoint else TRAPEZOID, n)
+    if kind == "green":
+        spec = kernels.green_dirichlet()
+    elif kind == "heat-circle":
+        assume(math.sqrt(2.0 * t) >= g.spacing)
+        spec = kernels.heat_circle(t, l_max=l_max)
+    else:
+        table = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, n))
+        spec = kernels.tabulated(table + table.T, g)
+    diag = spec.diag(g)
+    assert diag.flags.c_contiguous and same_bits(diag, np.diagonal(spec.matrix(g)).copy())
+
+
+@PROPERTY
+@given(n=st.integers(min_value=2, max_value=300), midpoint=st.booleans(),
        row=st.floats(0.0, 1.0, exclude_max=True), column=st.floats(0.0, 1.0, exclude_max=True))
 @example(n=300, midpoint=False, row=0.99, column=0.9)  # past the first row block
 def test_discretize_names_the_first_nonfinite_node_pair(n, midpoint, row, column):

@@ -128,12 +128,24 @@ def test_trapezoid_second_order_convergence():
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
-        Grid(nodes=np.array([0.0, 0.5, 0.4]), weights=np.array([0.3, 0.4, 0.3]),
-             kind=TRAPEZOID)
-    with pytest.raises(ValueError):
-        Grid(nodes=np.array([0.0, 0.5, 1.0]), weights=np.array([0.5, -0.1, 0.6]),
-             kind=TRAPEZOID)
-    with pytest.raises(ValueError):
-        Grid(nodes=np.array([0.0, 0.5, 1.0]), weights=np.array([0.5, 0.4, 0.3]),
-             kind=TRAPEZOID)
+    # a grid is its kind and its size; nothing else can be asked of it
+    for kind, n in (("uniform-simpson", 5), (TRAPEZOID, 1), (MIDPOINT, 0), (MIDPOINT, -3)):
+        with pytest.raises(ValueError):
+            Grid(kind, n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 401, 1000])
+def test_grid_is_its_kind_and_size(n):
+    for kind, nodes in ((TRAPEZOID, np.linspace(0.0, 1.0, n)),
+                        (MIDPOINT, (np.arange(n) + 0.5) / n)):
+        g = Grid(kind, n)
+        assert g == make_grid(kind, n) and hash(g) == hash(make_grid(kind, n))
+        assert g != Grid(kind, n + 1)
+        assert np.array_equal(g.nodes, nodes)
+        assert g.spacing == nodes[1] - nodes[0]
+        assert not g.nodes.flags.writeable and not g.weights.flags.writeable
+    assert Grid(TRAPEZOID, n) != Grid(MIDPOINT, n)
+    h = 1.0 / (n - 1)
+    assert np.array_equal(Grid(TRAPEZOID, n).weights,
+                          np.concatenate(([h / 2.0], np.full(n - 2, h), [h / 2.0])))
+    assert np.array_equal(Grid(MIDPOINT, n).weights, np.full(n, 1.0 / n))

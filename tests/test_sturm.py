@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tracelab.kernels import green_dirichlet
-from tracelab.quadrature import MIDPOINT, TRAPEZOID, Grid, inner_product, make_grid
+from tracelab.quadrature import MIDPOINT, TRAPEZOID, inner_product, make_grid
 from tracelab.sturm import (
     random_fourier_sum,
     residual_check,
@@ -81,14 +81,6 @@ def test_residual_check_solved_problem():
 def test_residual_check_zero():
     g = make_grid(TRAPEZOID, 11)
     assert residual_check(np.zeros(11), np.zeros(11), g) == 0.0
-
-
-def test_residual_check_rejects_nonuniform():
-    nodes = np.array([0.0, 0.1, 0.5, 0.8, 1.0])
-    weights = np.full(5, 0.2)
-    g = Grid(nodes=nodes, weights=weights, kind=TRAPEZOID)
-    with pytest.raises(ValueError):
-        residual_check(np.zeros(5), np.zeros(5), g)
 
 
 def test_residual_check_needs_enough_nodes():

@@ -37,6 +37,17 @@ def test_empty_spectrum_is_valid():
     assert len(spectrum.eigenvalues) == 0
 
 
+def test_lattice_cap_counts_the_pairs_before_building_them():
+    # a 1000 x 1000 lattice is the cap; a side that overflows to inf is refused, not raised on
+    cutoff = PI2 * 1000.5**2
+    assert len(rectangle_spectrum(1.0, 1.0, cutoff).eigenvalues) > 0
+    for a, b, mu_max in ((1.0, 1.001, cutoff), (1.0, 1.0, 1e10), (1e308, 1.0, 1e10)):
+        with pytest.raises(ValueError, match="mu_max=.*the cap"):
+            rectangle_spectrum(a, b, mu_max)
+    # a side below the fundamental empties the lattice, however long the other
+    assert len(rectangle_spectrum(1e308, 1e-8, 1e10).eigenvalues) == 0
+
+
 def test_eigenfunction_against_finite_differences():
     # oracle: 5-point Laplacian on a 101x101 lattice
     n = m = 1
