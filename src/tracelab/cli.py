@@ -10,6 +10,10 @@ Each `_cmd_*` handler only computes.  It returns (summary line, record,
 to_csv): `record` is the --format json payload, and `to_csv(path)` writes
 the command's CSV table, or is None when a one-row CSV of `record` is the
 table.  `main` does all printing and writing.
+
+Each handler imports the modules it uses when it runs, so a run loads
+only its own command's modules; the names stay module attributes, looked
+up at call time.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -35,12 +40,14 @@ if "numpy" not in sys.modules:
 
 import numpy as np  # noqa: E402
 
-from . import billiard, heat, kernels, mercer, nystrom, sturm, wavetrace  # noqa: E402
-from .fileio import write_csv, write_json  # noqa: E402
 from .linalg import NumericalError  # noqa: E402
 from .quadrature import MIDPOINT, TRAPEZOID, make_grid  # noqa: E402
 
 _GRID_NAMES = {"trapezoid": TRAPEZOID, "midpoint": MIDPOINT}
+# argparse reads a token as a negative number, not an option, only when it
+# matches ^-\d+$|^-\d*\.\d+$, so "-1e-3" was taken for an option; any token
+# that starts like a negative number is one here
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 # Work cap on the wave-trace time grid, counted before it is built; the
 # trace costs eigenvalues x steps, see wavetrace._MAX_LATTICE
 _MAX_TIME_STEPS = 10**4
@@ -74,6 +81,8 @@ def _indefiniteness(matrix, mode: str) -> None:
 
 def _kernel_and_grid(args):
     """The kernel named by --kernel and its grid, checked for indefiniteness."""
+    from . import kernels, nystrom
+
     if args.kernel == "green":
         spec = kernels.green_dirichlet()
     elif args.kernel == "heat-circle":
@@ -90,6 +99,8 @@ def _kernel_and_grid(args):
 
 
 def _cmd_trace_check(args):
+    from . import nystrom
+
     spec, grid = _kernel_and_grid(args)
     report = nystrom.trace_formula_check(spec, grid)
     return (f"trace-check kernel={args.kernel} n={grid.n}: "
@@ -98,6 +109,8 @@ def _cmd_trace_check(args):
 
 
 def _cmd_spectrum(args):
+    from . import nystrom, sturm
+
     spec, grid = _kernel_and_grid(args)
     spectrum = nystrom.operator_spectrum(spec, grid, args.count)
     analytic = None
@@ -118,6 +131,8 @@ def _cmd_spectrum(args):
 
 
 def _cmd_mercer(args):
+    from . import mercer
+
     report = mercer.mercer_reconstruct(args.kmax, args.lattice_n)
     return (f"mercer kmax={report.k_max} lattice={args.lattice_n}: "
             f"sup_error={report.sup_error:.6e} tail_bound={report.tail_bound:.6e}",
@@ -125,12 +140,16 @@ def _cmd_mercer(args):
 
 
 def _cmd_basel(args):
+    from . import mercer
+
     report = mercer.basel_via_trace(args.kmax)
     return (f"basel kmax={args.kmax}: partial_sum={report.lhs!r} "
             f"target={report.rhs!r} gap={report.gap:.6e}", asdict(report), None)
 
 
 def _cmd_bvp_compare(args):
+    from . import sturm
+
     if args.trials < 1:
         raise ValueError(f"bvp-compare needs at least one trial, got {args.trials}")
     grid = make_grid(TRAPEZOID, args.n)
@@ -152,6 +171,8 @@ def _cmd_bvp_compare(args):
 
 
 def _cmd_theta(args):
+    from . import heat
+
     evaluation = heat.theta(args.s)
     residual = heat.theta_transform_residual(args.s)
     return (f"theta s={args.s}: value={evaluation.value!r} k_used={evaluation.k_used} "
@@ -160,6 +181,8 @@ def _cmd_theta(args):
 
 
 def _cmd_heat_compare(args):
+    from . import fileio, heat
+
     grid = make_grid(MIDPOINT, args.n)
     f = heat.random_trig_sample(grid, modes=args.modes, seed=args.seed)
     spectral = heat.heat_evolve(f, grid, args.t, method=heat.SPECTRAL,
@@ -169,11 +192,13 @@ def _cmd_heat_compare(args):
     sup = float(np.abs(spectral - kernel).max())
     return (f"heat-compare t={args.t} n={args.n} seed={args.seed}: sup_diff={sup:.6e}",
             {"sup_diff": sup, "t": args.t, "n": args.n, "seed": args.seed},
-            lambda path: write_csv(path, ("node", "f", "u_spectral", "u_kernel"),
-                                   zip(grid.nodes, f, spectral, kernel)))
+            lambda path: fileio.write_csv(path, ("node", "f", "u_spectral", "u_kernel"),
+                                          zip(grid.nodes, f, spectral, kernel)))
 
 
 def _cmd_heat_trace(args):
+    from . import heat
+
     ts = _parse_floats(args.t)
     if not ts:
         raise ValueError("heat-trace needs at least one t value")
@@ -186,13 +211,17 @@ def _cmd_heat_trace(args):
             lambda path: heat.trace_sweep_to_csv(ts, reports, path))
 
 
-def _table_from_args(args) -> billiard.Table:
+def _table_from_args(args):
+    from . import billiard
+
     if args.shape == "rectangle":
         return billiard.rectangle(args.a, args.b)
     return billiard.disc(args.radius)
 
 
 def _cmd_billiard(args):
+    from . import billiard
+
     table = _table_from_args(args)
     start = tuple(args.start)
     norm = math.hypot(*args.dir)
@@ -214,6 +243,8 @@ def _cmd_billiard(args):
 
 
 def _cmd_length_spectrum(args):
+    from . import billiard
+
     table = _table_from_args(args)
     spectrum = billiard.length_spectrum(table, args.l_max,
                                         max_bounces=args.max_bounces)
@@ -225,6 +256,8 @@ def _cmd_length_spectrum(args):
 
 
 def _cmd_wave_trace(args):
+    from . import billiard, wavetrace
+
     if args.t_step <= 0.0:
         raise ValueError(f"t-step must be positive, got {args.t_step}")
     if (args.t_max - args.t_min) / args.t_step > _MAX_TIME_STEPS:
@@ -258,10 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="trace-identity experiments on integral kernels, "
                     "heat traces, and billiards",
     )
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, handler, summary: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         p.set_defaults(handler=handler)
         return p
 
@@ -371,6 +406,8 @@ def _argv_from_config(path: str) -> list[str]:
 
 
 def main(argv=None) -> int:
+    from . import fileio
+
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         if "--json-config" in argv:
@@ -386,13 +423,13 @@ def main(argv=None) -> int:
         summary, record, to_csv = args.handler(args)
         if args.out:
             if args.format == "json":
-                write_json(args.out, record)
+                fileio.write_json(args.out, record)
             elif to_csv is not None:
                 to_csv(args.out)
             else:
-                write_csv(args.out, list(record), [list(record.values())])
+                fileio.write_csv(args.out, list(record), [list(record.values())])
         if getattr(args, "report", None):
-            write_json(args.report, record)
+            fileio.write_json(args.report, record)
         print(summary)
         return 0
     except (ValueError, OSError) as exc:

@@ -44,14 +44,22 @@ def _partial_inverse_square_sum(k_max: int) -> float:
     """Sum of 1/k^2 for k = 1..k_max in O(_BASEL_CHUNK) memory.
 
     Chunks are summed from the smallest terms up, and the chunk sums are
-    added exactly by math.fsum, so the float error stays near eps.
+    added exactly by math.fsum, so the float error stays near eps.  Each
+    chunk k = last, last-1, ... is computed in place in one reused buffer.
     """
     if k_max > _MAX_BASEL_TERMS:
         raise ValueError(f"k_max={k_max} exceeds the cap of {_MAX_BASEL_TERMS:.0e} "
                          "terms of the Basel sum")
-    chunks = (np.arange(last, max(last - _BASEL_CHUNK, 0), -1, dtype=float)
-              for last in range(k_max, 0, -_BASEL_CHUNK))
-    return math.fsum(float(np.sum(1.0 / (ks * ks))) for ks in chunks)
+    steps = np.arange(_BASEL_CHUNK, dtype=float)
+    buffer = np.empty(_BASEL_CHUNK)
+    sums = []
+    for last in range(k_max, 0, -_BASEL_CHUNK):
+        size = min(last, _BASEL_CHUNK)
+        ks = np.subtract(last, steps[:size], out=buffer[:size])
+        np.multiply(ks, ks, out=ks)
+        np.divide(1.0, ks, out=ks)
+        sums.append(float(np.sum(ks)))
+    return math.fsum(sums)
 
 
 def mercer_reconstruct(k_max: int, lattice_n: int) -> MercerReport:

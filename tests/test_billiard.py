@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tracelab.billiard import (
     CORNER_HIT,
+    CORNER_TOL,
     LENGTH_BUDGET,
+    SEGMENT_DTYPE,
     disc,
     is_closed,
     length_spectrum,
@@ -240,6 +242,82 @@ def test_reversibility(is_disc, a, b, u, v, angle, budget):
     assert np.abs(bounces - back.segments.start[1:][::-1]).max(initial=0.0) <= 1e-9
     end = back.segments[-1]
     assert np.abs(end.start + end.length * end.direction - start).max() <= 1e-9
+
+
+def rectangle_by_vectors(a, b, start, direction, budget):
+    """Reference for simulate on rectangles: the loop on numpy 2-vectors it replaced."""
+    p = np.asarray(start, dtype=float).copy()
+    d = np.asarray(direction, dtype=float)
+    d = d / float(np.linalg.norm(d))
+    rows, spent, terminated_by = [], 0.0, LENGTH_BUDGET
+    while True:
+        remaining = budget - spent
+        (px, py), (dx, dy) = p.tolist(), d.tolist()
+        if dx > 0.0:
+            tx, wall_x = (a - px) / dx, a
+        elif dx < 0.0:
+            tx, wall_x = -px / dx, 0.0
+        else:
+            tx, wall_x = math.inf, None
+        if dy > 0.0:
+            ty, wall_y = (b - py) / dy, b
+        elif dy < 0.0:
+            ty, wall_y = -py / dy, 0.0
+        else:
+            ty, wall_y = math.inf, None
+        t_hit = min(tx, ty)
+        q = p + t_hit * d
+        if tx <= ty:
+            q[0] = wall_x
+        if ty <= tx:
+            q[1] = wall_y
+        qx, qy = q.tolist()
+        corner = math.sqrt(min(qx * qx, (a - qx) * (a - qx)) + min(qy * qy, (b - qy) * (b - qy)))
+        length = min(t_hit, remaining)
+        rows.append((p, d, length))
+        spent += length
+        if t_hit >= remaining:
+            break
+        if corner <= CORNER_TOL:
+            terminated_by = CORNER_HIT
+            break
+        d = d.copy()
+        if tx <= ty:
+            d[0] = -d[0]
+        if ty <= tx:
+            d[1] = -d[1]
+        p = q
+    return np.rec.array(rows, dtype=SEGMENT_DTYPE), spent, terminated_by
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(a=SIZES, b=SIZES, u=FRACTIONS, v=FRACTIONS, angle=ANGLES,
+       budget=st.floats(min_value=0.5, max_value=200.0))
+@example(a=1.0, b=1.0, u=0.25, v=0.25, angle=math.pi / 4, budget=10.0)  # corner hit
+@example(a=1.0, b=1.0, u=0.5, v=0.5, angle=math.pi / 2, budget=3.0)  # dx = cos(pi/2) != 0
+def test_rectangle_matches_the_vector_loop_bit_for_bit(a, b, u, v, angle, budget):
+    start, direction = (u * a, v * b), (math.cos(angle), math.sin(angle))
+    traj = simulate(rectangle(a, b), start, direction, budget)
+    segments, spent, terminated_by = rectangle_by_vectors(a, b, start, direction, budget)
+    assert traj.segments.tobytes() == segments.tobytes()
+    assert (traj.total_length, traj.terminated_by) == (spent, terminated_by)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(radius=st.floats(min_value=0.1, max_value=10.0), u=st.floats(0.0, 0.95),
+       polar=ANGLES, angle=ANGLES, chords=st.integers(min_value=1, max_value=10**4))
+# |p|^2 - R^2 formed directly drifts to 2e-12 R here, (|p| - R)(|p| + R) to 4.4e-13 R
+@example(radius=3.31, u=0.95, polar=6.08, angle=4.21, chords=10**4)
+def test_disc_conserves_the_impact_parameter_and_the_chord(radius, u, polar, angle, chords):
+    # the impact parameter b = p x d of a start at radius u R stays below 0.95 R,
+    # so every chord 2 sqrt(R^2 - b^2) is longer than 0.6 R
+    (x, y), (dx, dy) = (u * radius * math.cos(polar), u * radius * math.sin(polar)), \
+        (math.cos(angle), math.sin(angle))
+    chord = 2.0 * math.sqrt(radius**2 - (x * dy - y * dx) ** 2)
+    s = simulate(disc(radius), (x, y), (dx, dy), chords * chord).segments
+    impact = s.start[:, 0] * s.direction[:, 1] - s.start[:, 1] * s.direction[:, 0]
+    assert np.abs(impact - impact[0]).max() <= 1e-12 * radius
+    assert np.abs(s.length[1:-1] - chord).max(initial=0.0) <= 1e-12 * radius
 
 
 def test_unit_square_length_spectrum():

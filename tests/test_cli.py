@@ -164,6 +164,27 @@ def test_wave_trace_small_run(capsys, tmp_path):
     assert signal_path.read_text().splitlines()[0] == "t,value"
 
 
+def test_negative_numbers_in_exponent_notation_are_values(capsys, tmp_path):
+    # argparse's own negative-number pattern has no exponent, so these were
+    # read as options and exited 2 with "expected one argument"
+    code, out, err = run(capsys, "heat-compare", "--t", "-1e-3")
+    assert code == 2 and out == ""
+    assert "needs t > 0" in err
+    code, out, _ = run(capsys, "wave-trace", "--t-min", "-1e-3",
+                       *SMALL_RUNS["wave-trace"])
+    assert code == 0 and out.startswith("wave-trace")
+    code, out, _ = run(capsys, "billiard", "--shape", "disc", "--start", "-1e-5", "0.5")
+    assert code == 0 and out.startswith("billiard disc")
+    runs = []
+    for x in ("-1e-1", "-0.1"):
+        path = tmp_path / f"traj{x}.csv"
+        code, out, _ = run(capsys, "billiard", "--shape", "disc", "--start", x, "0.5",
+                           "--out", str(path))
+        assert code == 0
+        runs.append((out, path.read_bytes()))
+    assert runs[0] == runs[1]
+
+
 def test_validation_error_exits_2(capsys):
     code, _, err = run(capsys, "basel", "--kmax", "0")
     assert code == 2
@@ -263,6 +284,18 @@ def test_cli_leaves_the_environment_of_a_process_holding_numpy_alone():
             "cli.main(['basel', '--kmax', '10']); print(dict(os.environ) == before, "
             "'OPENBLAS_THREAD_TIMEOUT' in os.environ)")
     assert _fresh_python(code).splitlines()[-1] == "True False"
+
+
+def test_a_command_loads_only_its_own_modules():
+    code = ("import sys, tracelab.cli as cli; cli.main({!r}); "
+            "print(' '.join(m for m in sys.modules if m.startswith('tracelab.')))")
+    for argv, used, unused in (
+        (["basel", "--kmax", "10"], "mercer", {"billiard", "nystrom", "heat", "wavetrace"}),
+        (["billiard"], "billiard", {"kernels", "nystrom", "mercer"}),
+    ):
+        loaded = set(_fresh_python(code.format(argv)).splitlines()[-1].split())
+        assert f"tracelab.{used}" in loaded
+        assert not {f"tracelab.{name}" for name in unused} & loaded, argv
 
 
 def test_console_script_entry_point():

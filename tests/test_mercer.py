@@ -169,3 +169,21 @@ def test_basel_refuses_more_terms_than_the_cap():
     cap = mercer._MAX_BASEL_TERMS
     with pytest.raises(ValueError, match="cap"):
         basel_via_trace(cap + 1)
+
+
+def basel_by_fresh_chunks(k_max):
+    """Reference for the Basel sum: one new array per chunk, as before the buffer."""
+    chunks = (np.arange(last, max(last - mercer._BASEL_CHUNK, 0), -1, dtype=float)
+              for last in range(k_max, 0, -mercer._BASEL_CHUNK))
+    return math.fsum(float(np.sum(1.0 / (ks * ks))) for ks in chunks)
+
+
+def test_basel_buffer_gives_the_fresh_chunks_bits_in_bounded_memory():
+    chunk = mercer._BASEL_CHUNK
+    for k_max in (1, chunk - 1, chunk, chunk + 1, 10**6 + 3):
+        assert mercer._partial_inverse_square_sum(k_max) == basel_by_fresh_chunks(k_max)
+    tracemalloc.start()
+    mercer._partial_inverse_square_sum(10**7)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 4 * 8 * chunk
