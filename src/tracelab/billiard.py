@@ -319,8 +319,10 @@ def length_spectrum(table: Table, l_max: float, max_bounces: int = 64) -> Length
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     s = traj.segments
+    # Python floats: write_csv then formats each cell without a numpy scalar
     write_csv(path, ("segment", "start_x", "start_y", "dir_x", "dir_y", "length"),
-              zip(range(len(s)), *s.start.T, *s.direction.T, s.length))
+              zip(range(len(s)), *s.start.T.tolist(), *s.direction.T.tolist(),
+                  s.length.tolist()))
 
 
 def spectrum_to_csv(spectrum: LengthSpectrum, path) -> None:

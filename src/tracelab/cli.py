@@ -40,7 +40,7 @@ if "numpy" not in sys.modules:
 
 import numpy as np  # noqa: E402
 
-from .linalg import NumericalError  # noqa: E402
+from .linalg import NumericalError, eigh_values  # noqa: E402
 from .quadrature import MIDPOINT, TRAPEZOID, make_grid  # noqa: E402
 
 _GRID_NAMES = {"trapezoid": TRAPEZOID, "midpoint": MIDPOINT}
@@ -66,10 +66,18 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _indefiniteness(matrix, mode: str) -> None:
-    """Warn or fail when a discretized kernel has negative eigenvalues."""
+    """Warn or fail when a discretized kernel has negative eigenvalues.
+
+    The eigenvalues come from one LAPACK call at every size:
+    `linalg.eigh_values` splits a reflection-symmetric matrix (the Green
+    and heat-circle kernels) into even and odd halves and decomposes any
+    other, such as an asymmetric tabulated kernel, whole.  Jacobi
+    (n <= 160) and the whole-matrix LAPACK call remain the oracles the
+    split is tested against.
+    """
     if mode == "ignore":
         return
-    values = np.linalg.eigvalsh(matrix.entries)
+    values = eigh_values(matrix)
     floor = -1e-10 * max(1.0, float(np.abs(values).max()))
     if values.min() < floor:
         message = (f"kernel is indefinite: smallest discrete eigenvalue "

@@ -7,6 +7,7 @@ it gets a dedicated checker that reports both sides and their residual.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,15 +222,130 @@ def jacobi_eigen(a, tol: float = 1e-12, max_sweeps: int = 100, *,
     return _sorted_decomposition(values, vec[:n].T)
 
 
+# Largest reflection-odd part (B - JBJ)/2 that still counts as round-off, in
+# units of u max|B|: Green matrices reach 2.5u, heat-circle matrices are exact
+_REFLECTION_ODD_TOL = 8.0 * 2.0**-53
+_HALF_SQRT2 = math.sqrt(0.5)
+
+
+def _reflection_blocks(a: np.ndarray) -> np.ndarray | None:
+    """The even and odd diagonal blocks of Q B Q^T, stacked as (2, h, h), h = ceil(n/2).
+
+    J reverses the node order, which is x -> 1 - x on a symmetric grid.  Q
+    pairs node i with node n-1-i: its rows are (e_i + e_{n-1-i})/sqrt 2,
+    for odd n the centre node, then (e_i - e_{n-1-i})/sqrt 2.  When
+    JBJ = B, Q B Q^T is block diagonal, so B's eigenpairs are those of two
+    half-size blocks, a quarter of the dense LAPACK work (Cantoni & Butler,
+    Linear Algebra Appl. 13, 1976).  The dropped coupling is the
+    reflection-odd part (B - JBJ)/2.  None is returned where it exceeds
+    8u max|B|, checked row block by row block, so a matrix without the
+    symmetry costs about one block; and for n < 2 or entries near
+    overflow.  For odd n the odd block has n // 2 rows, and its last row
+    and column are a decoupled pad entry below every Gershgorin disc, so
+    the pad is the block's smallest eigenvalue.
+
+    Memory: the stack, about n^2/2 entries, and temporaries of one row
+    block of B, formed as `symmetrize_in_place` forms its own.
+    """
+    n = a.shape[0]
+    if n < 2:
+        return None
+    m, h = n // 2, (n + 1) // 2
+    scale = max(a.max(), -a.min())
+    # odd-block entries are at most 2 max|B|, so its Gershgorin discs lie
+    # above -2m max|B|; -1 for B = 0
+    pad = -4.0 * h * scale or -1.0
+    if not math.isfinite(pad):
+        return None
+    bound = 2.0 * _REFLECTION_ODD_TOL * scale
+    flipped = a[::-1, ::-1]
+    blocks = np.empty((2, h, h))
+    for rows in row_blocks(n):
+        if rows.start >= m:
+            break
+        rows = slice(rows.start, min(rows.stop, m))
+        work = np.subtract(a[rows], flipped[rows])
+        if np.abs(work, out=work).max() > bound:
+            return None
+        # work = 2M on these rows, M = (B + JBJ)/2; the even block is
+        # M[r, j] + M[r, n-1-j] and the odd block M[r, j] - M[r, n-1-j]
+        np.add(a[rows], flipped[rows], out=work)
+        left, right = work[:, :m], work[:, ::-1][:, :m]
+        np.add(left, right, out=blocks[0, rows, :m])
+        np.subtract(left, right, out=blocks[1, rows, :m])
+        if n % 2:
+            np.multiply(work[:, m], _HALF_SQRT2, out=blocks[0, rows, m])
+        del work, left, right  # so that work is freed before the next block's is made
+    blocks[:, :m, :m] *= 0.5
+    if n % 2:
+        blocks[0, m, :m] = blocks[0, :m, m]
+        blocks[0, m, m] = a[m, m]
+        blocks[1, m, :] = blocks[1, :, m] = 0.0
+        blocks[1, m, m] = pad
+    return blocks
+
+
+def _unfold(values: np.ndarray, halves: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of B from the eigenpairs of its stacked reflection blocks.
+
+    An even-block vector (u, c) becomes (u, sqrt 2 c, Ju)/sqrt 2, an
+    odd-block vector w becomes (w, -Jw)/sqrt 2; for odd n the pad's pair,
+    the odd block's first in ascending order, is dropped.  Columns are the
+    even block's, then the odd block's.
+    """
+    m, h, odd = n // 2, (n + 1) // 2, n % 2
+    vectors = np.empty((n, n))
+    for cols, block, sign in ((slice(0, h), halves[0], 1.0),
+                              (slice(h, n), halves[1, :, odd:], -1.0)):
+        np.multiply(block[:m], _HALF_SQRT2, out=vectors[:m, cols])
+        np.multiply(block[:m], sign * _HALF_SQRT2, out=vectors[n - m:][::-1, cols])
+    if odd:
+        vectors[m, :h] = halves[0, m]
+        vectors[m, h:] = 0.0
+    return np.concatenate((values[0], values[1, odd:])), vectors
+
+
 def eigh_eigen(a) -> EigenDecomposition:
     """LAPACK-backed decomposition with the same contract as jacobi_eigen.
 
     Used where problem sizes make O(n^3)-with-large-constant Jacobi sweeps
-    impractical; tests pin the two solvers against each other.
+    impractical.  A reflection-symmetric matrix (JBJ = B to round-off,
+    J reversing the node order), as the Green and heat-circle kernels give
+    on both grids, is split into its even and odd halves, and one
+    `numpy.linalg.eigh` call decomposes both; any other matrix, such as a
+    tabulated kernel without the symmetry, is decomposed whole.  Jacobi
+    (n <= 160 in `nystrom`) and the whole-matrix LAPACK call stay the
+    oracles tests pin this against.
     """
     sym = _as_sym(a)
-    values, vectors = np.linalg.eigh(sym.entries)
-    return _sorted_decomposition(values[::-1], vectors[:, ::-1])
+    blocks = _reflection_blocks(sym.entries)
+    if blocks is None:
+        values, vectors = np.linalg.eigh(sym.entries)
+        return _sorted_decomposition(values[::-1], vectors[:, ::-1])
+    values, halves = np.linalg.eigh(blocks)
+    del blocks  # freed before the n x n vectors are made
+    values, vectors = _unfold(values, halves, sym.n)
+    del halves  # freed before the sorting gather
+    return _sorted_decomposition(values, vectors)
+
+
+def eigh_values(a) -> np.ndarray:
+    """Eigenvalues only, sorted descending and read-only, by one LAPACK call.
+
+    The values-only sibling of `eigh_eigen`: a reflection-symmetric matrix
+    is split the same way and `numpy.linalg.eigvalsh` runs on the stacked
+    halves; any other matrix gets `numpy.linalg.eigvalsh` whole, bit for bit.
+    """
+    sym = _as_sym(a)
+    blocks = _reflection_blocks(sym.entries)
+    if blocks is None:
+        values = np.linalg.eigvalsh(sym.entries)
+    else:
+        halves = np.linalg.eigvalsh(blocks)
+        values = np.sort(np.concatenate((halves[0], halves[1, sym.n % 2:])))
+    values = values[::-1]
+    values.setflags(write=False)
+    return values
 
 
 @dataclass(frozen=True)

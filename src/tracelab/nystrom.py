@@ -15,7 +15,7 @@ import numpy as np
 
 from .fileio import write_csv
 from .kernels import KernelSpec, diagonal_trace
-from .linalg import SymMatrix, eigh_eigen, jacobi_eigen, row_blocks
+from .linalg import SymMatrix, eigh_eigen, eigh_values, jacobi_eigen, row_blocks
 from .quadrature import Grid
 
 # above this size the cyclic Jacobi sweeps get slow; hand off to LAPACK
@@ -28,8 +28,9 @@ def discretize(spec: KernelSpec, grid: Grid) -> SymMatrix:
     Memory: one n x n float64 buffer per call.  The kernel matrix is
     checked, weighted and symmetrized in place by row blocks of about 2**16
     entries; only a tabulated kernel's read-only table is copied first.
-    An eigensolve copies B once more, so `trace-check --n N` peaks near
-    the interpreter's base plus 2 * 8 N^2 bytes.
+    A split eigensolve (`linalg.eigh_values`) stacks B's even and odd
+    halves, N^2/2 entries, and LAPACK copies one half, so `trace-check
+    --n N` peaks near the interpreter's base plus 1.75 * 8 N^2 bytes.
     """
     kmat = spec.matrix(grid)
     if not kmat.flags.writeable:
@@ -97,13 +98,18 @@ def trace_formula_check(spec: KernelSpec, grid: Grid) -> TraceFormulaReport:
     measures only eigensolver round-off; the interesting quantity is how
     fast diag_integral converges to the continuum value as the grid refines.
     Only eigenvalues are computed: Jacobi values-only up to
-    JACOBI_SIZE_LIMIT, LAPACK eigvalsh above it.
+    JACOBI_SIZE_LIMIT, `linalg.eigh_values` above it.  That splits a
+    reflection-symmetric matrix (the Green and heat-circle kernels on
+    either grid) into even and odd halves for one LAPACK call on both,
+    and hands any other matrix, such as an asymmetric tabulated kernel,
+    to LAPACK whole.  Jacobi and the whole-matrix LAPACK call remain the
+    oracles the split is tested against.
     """
     matrix = discretize(spec, grid)
     if grid.n <= JACOBI_SIZE_LIMIT:
         values = jacobi_eigen(matrix, values_only=True)
     else:
-        values = np.linalg.eigvalsh(matrix.entries)[::-1]
+        values = eigh_values(matrix)
     eig_sum = float(np.sum(values))
     diag_integral = diagonal_trace(spec, grid)
     return TraceFormulaReport(eig_sum=eig_sum, diag_integral=diag_integral,
@@ -113,13 +119,14 @@ def trace_formula_check(spec: KernelSpec, grid: Grid) -> TraceFormulaReport:
 def spectrum_to_csv(spectrum: OperatorSpectrum, values_path, functions_path,
                     analytic=None) -> None:
     """Export eigenvalues (k, lambda[, analytic_lambda]) and eigenfunction rows."""
+    # Python floats: write_csv then formats each cell without a numpy scalar
+    values = spectrum.eigenvalues.tolist()
     if analytic is None:
         header = ("k", "lambda")
-        rows = [(k + 1, v) for k, v in enumerate(spectrum.eigenvalues)]
+        rows = [(k + 1, v) for k, v in enumerate(values)]
     else:
         header = ("k", "lambda", "analytic_lambda")
-        rows = [(k + 1, v, a) for k, (v, a) in
-                enumerate(zip(spectrum.eigenvalues, analytic))]
+        rows = [(k + 1, v, a) for k, (v, a) in enumerate(zip(values, analytic))]
     write_csv(values_path, header, rows)
     write_csv(functions_path, [f"x{i}" for i in range(spectrum.grid.n)],
-              spectrum.eigenfunctions)
+              spectrum.eigenfunctions.tolist())

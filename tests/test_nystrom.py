@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tracelab.fileio import write_csv
 from tracelab.kernels import green_dirichlet, heat_circle, tabulated
-from tracelab.linalg import eigh_eigen, jacobi_eigen
+from tracelab.linalg import eigh_eigen, eigh_values, jacobi_eigen
 from tracelab.nystrom import (
     JACOBI_SIZE_LIMIT,
     discretize,
@@ -79,6 +80,48 @@ def test_eigh_decomposition_gathers_once():
     assert d.vectors.shape == (n, n)
     # LAPACK's eigenvectors plus the one sorting gather, and small temporaries
     assert peak < 2.5 * 8 * n**2
+
+
+def test_split_eigenvalues_make_no_full_size_temporary():
+    n = 801
+    b = discretize(green_dirichlet(), make_grid(TRAPEZOID, n))
+    tracemalloc.start()
+    try:
+        values = eigh_values(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (n,)
+    # the stacked even and odd halves, 2 * 401^2 entries, and one row block's
+    # temporaries; an n x n temporary would add 1.0
+    assert peak < 0.75 * 8 * n**2
+
+
+def parity_sums(n):
+    """Sums of the Green trapezoid eigenvalues whose eigenvectors are even / odd about 1/2."""
+    d = eigh_eigen(discretize(green_dirichlet(), make_grid(TRAPEZOID, n)))
+    parity = np.einsum("ij,ij->j", d.vectors, d.vectors[::-1])
+    assert np.abs(np.abs(parity) - 1.0).max() < 1e-12
+    return float(d.values[parity > 0].sum()), float(d.values[parity < 0].sum())
+
+
+def test_eulers_split_of_basel_by_parity():
+    # pi^2/6 = pi^2/8 + pi^2/24: sin(k pi x) is even about 1/2 for odd k and
+    # odd for even k, so the even half of the spectrum sums to
+    # sum_{k odd} 1/(k pi)^2 = 1/8 and the odd half to sum_{k even} = 1/24
+    gaps = {n: np.subtract(parity_sums(n), (1 / 8, 1 / 24)) for n in (400, 800)}
+    ratio = gaps[400] / gaps[800]
+    assert np.all((3.9 < ratio) & (ratio < 4.1)), ratio
+    # at odd n the even half's trace h^2 m(m-1)/2 + h/4, h = 1/(2m), is 1/8
+    # exactly, and the whole gap -h^2/6 of the diagonal quadrature is the odd half's
+    gaps = {}
+    for n in (401, 801):
+        h = 1.0 / (n - 1)
+        even, odd = parity_sums(n)
+        assert abs(even - 1 / 8) < 1e-15
+        assert abs(odd - (1 / 24 - h**2 / 6)) < 1e-15
+        gaps[n] = odd - 1 / 24
+    assert 3.9 < gaps[401] / gaps[801] < 4.1
 
 
 def test_operator_spectrum_green_eigenvalues():
@@ -230,3 +273,27 @@ def test_spectrum_csv_export(tmp_path):
     assert lines[0] == "k,lambda,analytic_lambda"
     assert len(lines) == 4
     assert len(functions_path.read_text().splitlines()) == 4
+
+
+def test_spectrum_csv_bytes_match_cell_by_cell_numpy_scalars(tmp_path):
+    # the columns go to write_csv as Python floats; the bytes are those of the
+    # numpy scalars write_csv was handed one cell at a time before
+    g = make_grid(TRAPEZOID, 201)
+    spectrum = operator_spectrum(green_dirichlet(), g, 4)
+    analytic = 1.0 / (math.pi * np.arange(1, 5)) ** 2
+    for with_analytic in (False, True):
+        reference_values, reference_functions = tmp_path / "rv.csv", tmp_path / "rf.csv"
+        if with_analytic:
+            write_csv(reference_values, ("k", "lambda", "analytic_lambda"),
+                      [(k + 1, v, a) for k, (v, a) in
+                       enumerate(zip(spectrum.eigenvalues, analytic))])
+        else:
+            write_csv(reference_values, ("k", "lambda"),
+                      [(k + 1, v) for k, v in enumerate(spectrum.eigenvalues)])
+        write_csv(reference_functions, [f"x{i}" for i in range(g.n)],
+                  spectrum.eigenfunctions)
+        values_path, functions_path = tmp_path / "v.csv", tmp_path / "f.csv"
+        spectrum_to_csv(spectrum, values_path, functions_path,
+                        analytic=analytic if with_analytic else None)
+        assert values_path.read_bytes() == reference_values.read_bytes()
+        assert functions_path.read_bytes() == reference_functions.read_bytes()

@@ -3,6 +3,7 @@ invariants over generated inputs."""
 
 import math
 import re
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from tracelab import kernels, nystrom, sturm, wavetrace
 from tracelab.billiard import LengthSpectrum
 from tracelab.heat import KERNEL, SPECTRAL, heat_evolve, random_trig_sample
-from tracelab.linalg import SymMatrix, jacobi_eigen
+from tracelab.linalg import SymMatrix, eigh_eigen, eigh_values, jacobi_eigen
 from tracelab.quadrature import MIDPOINT, TRAPEZOID, make_grid
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
@@ -296,6 +297,78 @@ def test_jacobi_matches_lapack(kind, n, seed):
     assert np.abs(d.vectors.T @ d.vectors - np.eye(n)).max() <= 1e-10
     assert np.abs(a @ d.vectors - d.vectors * d.values).max() <= 1e-10 * scale
     assert np.array_equal(jacobi_eigen(a, values_only=True), d.values)
+
+
+@contextmanager
+def lapack_shapes():
+    """Record the shape of every numpy.linalg.eigh/eigvalsh input inside the block."""
+    shapes = []
+
+    def recording(solve):
+        def wrapped(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return solve(a, *args, **kwargs)
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", recording(np.linalg.eigh))
+        patch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
+        yield shapes
+
+
+def split_solves(b):
+    """eigh_values and eigh_eigen of b, and the shapes LAPACK was handed."""
+    with lapack_shapes() as shapes:
+        values = eigh_values(b)
+        d = eigh_eigen(b)
+    return values, d, shapes
+
+
+@PROPERTY
+@given(n=st.integers(min_value=2, max_value=400), midpoint=st.booleans(),
+       heat=st.booleans(), t=st.floats(min_value=1e-4, max_value=5.0))
+@example(n=2, midpoint=False, heat=False, t=1.0)  # the zero matrix
+@example(n=3, midpoint=False, heat=False, t=1.0)  # only the centre entry
+def test_reflection_split_matches_dense_lapack(n, midpoint, heat, t):
+    # both built-in kernels are even under x -> 1 - x on both grids, so each
+    # solve makes one LAPACK call on the stacked (2, h, h) halves
+    g = make_grid(MIDPOINT if midpoint else TRAPEZOID, n)
+    if heat:
+        assume(math.sqrt(2.0 * t) >= g.spacing)
+        spec = kernels.heat_circle(t)
+    else:
+        spec = kernels.green_dirichlet()
+    b = nystrom.discretize(spec, g)
+    values, d, shapes = split_solves(b)
+    h = (n + 1) // 2
+    assert shapes == [(2, h, h)] * 2
+    dense = np.linalg.eigvalsh(b.entries)[::-1]
+    tol = 4.0 * n * 2.0**-53 * np.abs(dense).max()
+    assert np.abs(values - dense).max() <= tol
+    assert np.abs(d.values - np.linalg.eigh(b.entries)[0][::-1]).max() <= tol
+    assert np.all(np.diff(values) <= 0) and np.all(np.diff(d.values) <= 0)
+    assert np.abs(d.vectors.T @ d.vectors - np.eye(n)).max() <= 4.0 * n * 2.0**-53
+    assert np.abs(b.entries @ d.vectors - d.vectors * d.values).max() <= tol
+
+
+@PROPERTY
+@given(n=st.integers(min_value=2, max_value=400), midpoint=st.booleans(), seed=SEEDS)
+def test_reflection_split_only_where_the_matrix_has_the_symmetry(n, midpoint, seed):
+    g = make_grid(MIDPOINT if midpoint else TRAPEZOID, n)
+    # a random table has no reflection symmetry: LAPACK gets the whole matrix
+    table = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, n))
+    b = nystrom.discretize(kernels.tabulated(table + table.T, g), g)
+    values, d, shapes = split_solves(b)
+    assert shapes == [(n, n)] * 2
+    assert same_bits(values, np.linalg.eigvalsh(b.entries)[::-1].copy())
+    assert same_bits(d.values, np.linalg.eigh(b.entries)[0][::-1].copy())
+    # a table of Green values on its own grid has it, and takes the split
+    green = kernels.green_dirichlet()
+    table = nystrom.discretize(kernels.tabulated(green.matrix(g), g), g)
+    values, _, shapes = split_solves(table)
+    h = (n + 1) // 2
+    assert shapes == [(2, h, h)] * 2
+    assert same_bits(values, eigh_values(nystrom.discretize(green, g)))
 
 
 def reference_kernel(spec, grid):
