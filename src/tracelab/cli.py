@@ -19,6 +19,7 @@ up at call time.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -40,7 +41,7 @@ if "numpy" not in sys.modules:
 
 import numpy as np  # noqa: E402
 
-from .linalg import NumericalError, eigh_values  # noqa: E402
+from .linalg import NumericalError  # noqa: E402
 from .quadrature import MIDPOINT, TRAPEZOID, make_grid  # noqa: E402
 
 _GRID_NAMES = {"trapezoid": TRAPEZOID, "midpoint": MIDPOINT}
@@ -65,19 +66,20 @@ def _parse_floats(text: str) -> list[float]:
     return [finite(part) for part in text.split(",") if part]
 
 
-def _indefiniteness(matrix, mode: str) -> None:
+def _indefiniteness(spec, grid, mode: str) -> None:
     """Warn or fail when a discretized kernel has negative eigenvalues.
 
-    The eigenvalues come from one LAPACK call at every size:
-    `linalg.eigh_values` splits a reflection-symmetric matrix (the Green
-    and heat-circle kernels) into even and odd halves and decomposes any
-    other, such as an asymmetric tabulated kernel, whole.  Jacobi
-    (n <= 160) and the whole-matrix LAPACK call remain the oracles the
-    split is tested against.
+    The eigenvalues come from one LAPACK call at every size, on the even
+    and odd halves of a reflection-symmetric matrix (the Green and
+    heat-circle kernels) and on any other, such as an asymmetric
+    tabulated kernel, whole; see `nystrom._eigenvalues`.  `ignore`
+    neither discretizes nor decomposes.
     """
     if mode == "ignore":
         return
-    values = eigh_values(matrix)
+    from . import nystrom
+
+    values = nystrom._eigenvalues(spec, grid, jacobi=False)
     floor = -1e-10 * max(1.0, float(np.abs(values).max()))
     if values.min() < floor:
         message = (f"kernel is indefinite: smallest discrete eigenvalue "
@@ -89,7 +91,7 @@ def _indefiniteness(matrix, mode: str) -> None:
 
 def _kernel_and_grid(args):
     """The kernel named by --kernel and its grid, checked for indefiniteness."""
-    from . import kernels, nystrom
+    from . import kernels
 
     if args.kernel == "green":
         spec = kernels.green_dirichlet()
@@ -102,7 +104,7 @@ def _kernel_and_grid(args):
                          "(green, heat-circle, or a .csv path)")
     grid = spec.grid if spec.kind == kernels.TABULATED else \
         make_grid(_GRID_NAMES[args.grid], args.n)
-    _indefiniteness(nystrom.discretize(spec, grid), args.indefinite)
+    _indefiniteness(spec, grid, args.indefinite)
     return spec, grid
 
 
@@ -452,4 +454,10 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # Everything imported so far, numpy's ~20 000 objects among them, lives
+    # as long as the process: frozen, the run's collections and the
+    # interpreter's shutdown no longer scan it.  Only a process that runs
+    # this module as __main__ does this; an importer's collector is left alone.
+    gc.collect()
+    gc.freeze()
     sys.exit(main())

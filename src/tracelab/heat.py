@@ -24,6 +24,8 @@ from .sturm import filtered_series, trig_modes
 
 _TERM_CUTOFF = 1e-18
 _MAX_TERMS = 10**6
+# The largest s whose theta(1/s) stays within _MAX_TERMS terms
+_MAX_TRANSFORM_S = math.pi * _MAX_TERMS**2 / -math.log(_TERM_CUTOFF)
 
 
 @dataclass(frozen=True)
@@ -72,8 +74,15 @@ def theta(s: float) -> ThetaEvaluation:
 
 
 def theta_transform_residual(s: float) -> float:
-    """|theta(s) - theta(1/s)/sqrt(s)|; exactly zero in exact arithmetic."""
+    """|theta(s) - theta(1/s)/sqrt(s)|; exactly zero in exact arithmetic.
+
+    Refused above _MAX_TRANSFORM_S, where theta(1/s) would need more than
+    _MAX_TERMS terms.
+    """
     direct = theta(s).value
+    if s > _MAX_TRANSFORM_S:
+        raise ValueError(f"theta transform at s={s} needs theta(1/s) with more than "
+                         f"{_MAX_TERMS} terms; s <= {_MAX_TRANSFORM_S!r} is accepted")
     transformed = theta(1.0 / s).value / math.sqrt(s)
     return abs(direct - transformed)
 

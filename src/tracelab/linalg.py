@@ -32,9 +32,11 @@ def symmetrize_in_place(a: np.ndarray, *, require_finite: bool = False) -> float
 
     Block r pairs rows r right of the diagonal with columns r below it, so
     each temporary holds one row block and every entry is formed as in the
-    whole-array expressions.  A NaN entry makes the result NaN, as
-    numpy's max does.  require_finite raises ValueError on a non-finite
-    entry, possibly after earlier blocks of a were overwritten.
+    whole-array expressions.  Two finite entries whose sum overflows are
+    halved before they are added, so every finite a gives a finite result;
+    an asymmetry beyond the float range is inf.  A NaN entry makes the
+    result NaN, as numpy's max does.  require_finite raises ValueError on a
+    non-finite entry, possibly after earlier blocks of a were overwritten.
     """
     asym = 0.0
     for rows in row_blocks(a.shape[0]):
@@ -42,10 +44,15 @@ def symmetrize_in_place(a: np.ndarray, *, require_finite: bool = False) -> float
         lower = a[rows.start:, rows].T
         if require_finite and not (np.isfinite(upper).all() and np.isfinite(lower).all()):
             raise ValueError("matrix entries must be finite")
-        work = np.subtract(upper, lower)
-        asym = np.maximum(asym, np.abs(work, out=work).max())
-        np.add(upper, lower, out=work)
+        with np.errstate(over="ignore"):
+            work = np.subtract(upper, lower)
+            asym = np.maximum(asym, np.abs(work, out=work).max())
+            np.add(upper, lower, out=work)
         work *= 0.5
+        overflowed = np.isinf(work)
+        if overflowed.any():
+            # halved first, the two cannot overflow; an inf entry stays inf
+            work[overflowed] = upper[overflowed] * 0.5 + lower[overflowed] * 0.5
         # the diagonal square lies in both views and gets the same values twice
         upper[...] = work
         lower[...] = work
@@ -66,25 +73,27 @@ class SymMatrix:
     asymmetry: float = 0.0
 
     def __post_init__(self):
-        self._adopt(np.array(self.entries, dtype=float, order="C"))
+        a = np.array(self.entries, dtype=float, order="C")
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        self._adopt(a, symmetrize_in_place(a, require_finite=True))
 
     @classmethod
     def _from_buffer(cls, buffer: np.ndarray) -> SymMatrix:
-        """Symmetrize a float64 buffer the caller gives up, in place and uncopied.
+        """Adopt a float64 buffer the caller gives up, uncopied and unchecked.
 
-        The buffer becomes the read-only `entries` of the result.
+        The buffer must be finite and equal to its transpose bit for bit,
+        as `nystrom.discretize` makes it; it becomes the read-only
+        `entries` of the result, with asymmetry 0.
         """
         sym = object.__new__(cls)
-        sym._adopt(buffer)
+        sym._adopt(buffer, 0.0)
         return sym
 
-    def _adopt(self, a: np.ndarray) -> None:
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        asym = symmetrize_in_place(a, require_finite=True)
+    def _adopt(self, a: np.ndarray, asymmetry: float) -> None:
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
-        object.__setattr__(self, "asymmetry", asym)
+        object.__setattr__(self, "asymmetry", asymmetry)
 
     @property
     def n(self) -> int:
@@ -251,7 +260,8 @@ def _reflection_blocks(a: np.ndarray) -> np.ndarray | None:
     if n < 2:
         return None
     m, h = n // 2, (n + 1) // 2
-    scale = max(a.max(), -a.min())
+    # a Python float, so that an overflowing pad is inf without a RuntimeWarning
+    scale = float(max(a.max(), -a.min()))
     # odd-block entries are at most 2 max|B|, so its Gershgorin discs lie
     # above -2m max|B|; -1 for B = 0
     pad = -4.0 * h * scale or -1.0
@@ -338,11 +348,18 @@ def eigh_values(a) -> np.ndarray:
     """
     sym = _as_sym(a)
     blocks = _reflection_blocks(sym.entries)
-    if blocks is None:
-        values = np.linalg.eigvalsh(sym.entries)
-    else:
-        halves = np.linalg.eigvalsh(blocks)
-        values = np.sort(np.concatenate((halves[0], halves[1, sym.n % 2:])))
+    return _values(sym.entries if blocks is None else blocks, sym.n)
+
+
+def _values(a: np.ndarray, n: int) -> np.ndarray:
+    """`eigh_values` of B from one `numpy.linalg.eigvalsh` call on a.
+
+    a is B itself, n x n, or the (2, h, h) stack `_reflection_blocks`
+    made of it, so a caller that holds the stack can free B first.
+    """
+    values = np.linalg.eigvalsh(a)
+    if a.ndim == 3:
+        values = np.sort(np.concatenate((values[0], values[1, n % 2:])))
     values = values[::-1]
     values.setflags(write=False)
     return values

@@ -15,7 +15,14 @@ import numpy as np
 
 from .fileio import write_csv
 from .kernels import KernelSpec, diagonal_trace
-from .linalg import SymMatrix, eigh_eigen, eigh_values, jacobi_eigen, row_blocks
+from .linalg import (
+    SymMatrix,
+    _reflection_blocks,
+    _values,
+    eigh_eigen,
+    jacobi_eigen,
+    row_blocks,
+)
 from .quadrature import Grid
 
 # above this size the cyclic Jacobi sweeps get slow; hand off to LAPACK
@@ -25,12 +32,17 @@ JACOBI_SIZE_LIMIT = 160
 def discretize(spec: KernelSpec, grid: Grid) -> SymMatrix:
     """Symmetrized Nystrom matrix B[i,j] = sqrt(w_i) k(x_i, x_j) sqrt(w_j).
 
+    Every built-in kernel matrix, and a tabulated kernel's symmetrized
+    table, equals its transpose bit for bit, and s_i s_j = s_j s_i, so B
+    is exactly symmetric as weighted and is adopted without a second
+    symmetrizing pass.
+
     Memory: one n x n float64 buffer per call.  The kernel matrix is
-    checked, weighted and symmetrized in place by row blocks of about 2**16
-    entries; only a tabulated kernel's read-only table is copied first.
-    A split eigensolve (`linalg.eigh_values`) stacks B's even and odd
-    halves, N^2/2 entries, and LAPACK copies one half, so `trace-check
-    --n N` peaks near the interpreter's base plus 1.75 * 8 N^2 bytes.
+    checked and weighted in place by row blocks of about 2**16 entries;
+    only a tabulated kernel's read-only table is copied first.  The
+    eigenvalue checks free B once its even and odd halves, N^2/2 entries,
+    are stacked, and LAPACK copies one half, so `trace-check --n N` peaks
+    near the interpreter's base plus 1.5 * 8 N^2 bytes, B and its halves.
     """
     kmat = spec.matrix(grid)
     if not kmat.flags.writeable:
@@ -40,8 +52,9 @@ def discretize(spec: KernelSpec, grid: Grid) -> SymMatrix:
         block = kmat[rows]
         if not np.isfinite(block).all():
             i, j = np.argwhere(~np.isfinite(block))[0]
+            x, y = grid.nodes[rows.start + i], grid.nodes[j]
             raise ValueError(f"kernel value is not finite at nodes "
-                             f"({grid.nodes[rows.start + i]!r}, {grid.nodes[j]!r})")
+                             f"({float(x)!r}, {float(y)!r})")
         block *= np.multiply.outer(s[rows], s)
     return SymMatrix._from_buffer(kmat)
 
@@ -91,6 +104,25 @@ class TraceFormulaReport:
     residual: float
 
 
+def _eigenvalues(spec: KernelSpec, grid: Grid, *, jacobi: bool) -> np.ndarray:
+    """All eigenvalues of discretize(spec, grid), sorted descending and read-only.
+
+    jacobi=True runs Jacobi values-only.  Otherwise one LAPACK call: a
+    reflection-symmetric B (the Green and heat-circle kernels on either
+    grid) is split into its even and odd halves as `linalg.eigh_values`
+    splits it, and B is freed before LAPACK runs on the halves, so B and
+    the halves are never held together with LAPACK's copy; any other B,
+    such as an asymmetric tabulated kernel, goes to LAPACK whole.
+    """
+    matrix = discretize(spec, grid)
+    if jacobi:
+        return jacobi_eigen(matrix, values_only=True)
+    halves = _reflection_blocks(matrix.entries)
+    operand = matrix.entries if halves is None else halves
+    del matrix, halves  # the only reference to B, when the halves stand in for it
+    return _values(operand, grid.n)
+
+
 def trace_formula_check(spec: KernelSpec, grid: Grid) -> TraceFormulaReport:
     """Sum of all Nystrom eigenvalues against the quadrature of the diagonal.
 
@@ -98,18 +130,12 @@ def trace_formula_check(spec: KernelSpec, grid: Grid) -> TraceFormulaReport:
     measures only eigensolver round-off; the interesting quantity is how
     fast diag_integral converges to the continuum value as the grid refines.
     Only eigenvalues are computed: Jacobi values-only up to
-    JACOBI_SIZE_LIMIT, `linalg.eigh_values` above it.  That splits a
-    reflection-symmetric matrix (the Green and heat-circle kernels on
-    either grid) into even and odd halves for one LAPACK call on both,
-    and hands any other matrix, such as an asymmetric tabulated kernel,
-    to LAPACK whole.  Jacobi and the whole-matrix LAPACK call remain the
-    oracles the split is tested against.
+    JACOBI_SIZE_LIMIT, one LAPACK call above it, on B's even and odd
+    halves where B is reflection-symmetric (see `_eigenvalues`).  Jacobi
+    and the whole-matrix LAPACK call remain the oracles the split is
+    tested against.
     """
-    matrix = discretize(spec, grid)
-    if grid.n <= JACOBI_SIZE_LIMIT:
-        values = jacobi_eigen(matrix, values_only=True)
-    else:
-        values = eigh_values(matrix)
+    values = _eigenvalues(spec, grid, jacobi=grid.n <= JACOBI_SIZE_LIMIT)
     eig_sum = float(np.sum(values))
     diag_integral = diagonal_trace(spec, grid)
     return TraceFormulaReport(eig_sum=eig_sum, diag_integral=diag_integral,

@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -307,6 +308,77 @@ def test_console_script_entry_point():
     assert "gap=" in result.stdout
 
 
+def test_only_a_cli_process_freezes_its_import_heap():
+    as_main = ("import gc, runpy, sys; sys.argv = ['tracelab', 'basel', '--kmax', '10']\n"
+               "try:\n    runpy.run_module('tracelab.cli', run_name='__main__')\n"
+               "except SystemExit:\n    pass\n"
+               "print(gc.get_freeze_count() > 10000, gc.isenabled())")
+    imported = "import gc, tracelab.cli; print(gc.get_freeze_count(), gc.isenabled())"
+    called = ("import gc, tracelab.cli as cli; cli.main(['basel', '--kmax', '10']); "
+              "print(gc.get_freeze_count(), gc.isenabled())")
+    assert _fresh_python(as_main).splitlines()[-1] == "True True"
+    assert _fresh_python(imported) == "0 True"
+    assert _fresh_python(called).splitlines()[-1] == "0 True"
+
+
+def test_process_runs_match_in_process_runs(capsys, tmp_path):
+    # the __main__ block and the eigenvalue helper, warnings as errors;
+    # n = 201 takes the split LAPACK path for both eigenvalue checks
+    runs = {
+        "trace": ["trace-check", "--n", "201", "--out", "{dir}/t.csv"],
+        "spectrum": ["spectrum", "--n", "201", "--count", "3", "--out", "{dir}/s.csv"],
+        "basel": ["basel", "--kmax", "1000", "--format", "json", "--out", "{dir}/b.json"],
+    }
+    children = {}
+    for name, argv in runs.items():
+        (tmp_path / "process" / name).mkdir(parents=True)
+        children[name] = subprocess.Popen(
+            [sys.executable, "-W", "error", "-m", "tracelab.cli",
+             *(arg.format(dir=tmp_path / "process" / name) for arg in argv)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    for name, argv in runs.items():
+        out_dir = tmp_path / "in-process" / name
+        out_dir.mkdir(parents=True)
+        code, out, err = run(capsys, *(arg.format(dir=out_dir) for arg in argv))
+        assert code == 0 and err == ""
+        stdout, stderr = children[name].communicate()
+        assert children[name].returncode == 0 and stderr == ""
+        assert stdout == out
+        files = sorted(p.name for p in out_dir.iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "process" / name).iterdir())
+        for file in files:
+            assert (out_dir / file).read_bytes() == \
+                (tmp_path / "process" / name / file).read_bytes()
+
+
+def test_ignoring_indefiniteness_discretizes_once(capsys, monkeypatch):
+    calls = []
+    discretize = nystrom.discretize
+    monkeypatch.setattr(nystrom, "discretize", lambda *a: calls.append(a) or discretize(*a))
+    for mode, expected in (("ignore", 1), ("warn", 2)):
+        calls.clear()
+        code, _, _ = run(capsys, "trace-check", "--n", "41", "--indefinite", mode)
+        assert code == 0 and len(calls) == expected
+
+
+@pytest.mark.parametrize("value", [1e308, 1.5e308])
+def test_tabulated_kernel_above_half_the_float_range_runs(capsys, tmp_path, value,
+                                                          write_kernel_csv):
+    # a + a^T overflowed in the symmetrization, and the finite table was
+    # refused as "kernel value is not finite" after a RuntimeWarning
+    g = make_grid(TRAPEZOID, 7)
+    path = write_kernel_csv(kernels.tabulated(np.full((7, 7), value), g))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "trace-check", "--kernel", str(path))
+        assert code == 0 and err == ""
+        eig_sum = float(out.split("eig_sum=")[1].split()[0])
+        assert abs(eig_sum - value) <= 1e-14 * value
+        code, out, err = run(capsys, "spectrum", "--kernel", str(path), "--count", "1")
+        assert code == 0 and err == ""
+        assert abs(float(out.split("lambda1=")[1]) - value) <= 1e-14 * value
+
+
 def test_spectrum_signs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # the largest |f| of sin(k pi x) sits at nodes of opposite sign, so
     # anchoring the sign there let round-off, and so the thread count, pick it
@@ -375,6 +447,7 @@ def _out_of_memory(k_max):
 # the huge finite values ran without bound before their work was capped
 BAD_INPUTS = [
     (["theta", "--s", "nan"], 2),
+    (["theta", "--s", "1e300"], 2),
     (["heat-trace", "--t", "nan"], 2),
     (["heat-trace", "--t", "0.1,inf"], 2),
     (["heat-compare", "--t", "inf"], 2),
@@ -417,6 +490,7 @@ BAD_INPUTS = [
 
 # error lines that must name the offending value
 NAMED_IN_ERROR = {
+    "theta --s 1e300": "s=1e+300",
     "heat-compare --t 1e308 --n 16": "t=1e+308",
     "heat-trace --t 1e300": "t=1e+300",
     "wave-trace --mu-max 1e8": "mu_max=",

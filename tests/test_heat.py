@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tracelab import heat
 from tracelab.heat import (
     KERNEL,
     SPECTRAL,
@@ -57,6 +58,19 @@ def test_theta_rejects_nonfinite(s):
 def test_theta_refuses_tiny_argument():
     with pytest.raises(ValueError, match="theta\\(1/s\\)"):
         theta(1e-13)
+
+
+def test_transform_residual_refuses_s_whose_inverse_needs_too_many_terms():
+    # theta(1e300) is one term, but theta(1e-300) is beyond the cap; the
+    # message names the s given, not 1/s, and the largest s accepted
+    largest = heat._MAX_TRANSFORM_S
+    assert heat._terms_needed(1.0 / largest) <= heat._MAX_TERMS
+    assert heat._terms_needed(1.0 / math.nextafter(largest, math.inf)) > heat._MAX_TERMS
+    for s in (1e300, math.nextafter(largest, math.inf)):
+        with pytest.raises(ValueError) as info:
+            theta_transform_residual(s)
+        assert f"s={s}" in str(info.value) and f"s <= {largest!r}" in str(info.value)
+    assert theta_transform_residual(1e10) < 1e-12
 
 
 def test_transform_residual_small():

@@ -1,7 +1,11 @@
 import math
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracelab.linalg import (
     EigenDecomposition,
@@ -175,6 +179,39 @@ def test_blocked_asymmetry_propagates_nan_and_inf():
         a = np.eye(300)
         a[250, 260] = bad
         assert expected(symmetrize_in_place(a))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(n=st.integers(min_value=1, max_value=300), seed=st.integers(0, 2**32 - 1),
+       low=st.integers(-1021, 1021), span=st.integers(0, 2042))
+def test_symmetrization_keeps_the_bits_of_normal_range_entries(n, seed, low, span):
+    # signed entries of magnitude 2^e, 1 <= mantissa < 2, e in [low, low + span]
+    # clipped to the normal range below DBL_MAX/2, where no sum overflows
+    rng = np.random.default_rng(seed)
+    high = min(low + span, 1021)
+    a = rng.choice((-1.0, 1.0), (n, n)) * np.ldexp(rng.uniform(1.0, 2.0, (n, n)),
+                                                   rng.integers(low, high + 1, (n, n)))
+    m = SymMatrix(entries=a)
+    assert m.entries.tobytes() == (0.5 * (a + a.T)).tobytes()
+    assert m.asymmetry == float(np.abs(a - a.T).max())
+
+
+def test_symmetrization_of_entries_above_half_the_float_range_stays_finite():
+    # a + a^T overflowed for these finite entries, with a RuntimeWarning
+    big = np.finfo(float).max
+    a = np.array([[1e308, 1.5e308, -big], [1.5e308, -1.5e308, 1.0], [-big, 1.0, big]])
+    a[0, 1] = big
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = SymMatrix(entries=a)
+    assert np.isfinite(m.entries).all()
+    assert m.entries[0, 1] == m.entries[1, 0] == big / 2 + 0.75e308
+    assert m.entries[0, 2] == -big and m.entries[2, 2] == big
+    assert m.asymmetry == big - 1.5e308
+    a[1, 0] = -1.5e308  # an asymmetry beyond the float range is inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert SymMatrix(entries=a).asymmetry == math.inf
 
 
 def test_jacobi_agrees_with_lapack():

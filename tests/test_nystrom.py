@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tracelab import cli
 from tracelab.fileio import write_csv
 from tracelab.kernels import green_dirichlet, heat_circle, tabulated
 from tracelab.linalg import eigh_eigen, eigh_values, jacobi_eigen
@@ -95,6 +96,33 @@ def test_split_eigenvalues_make_no_full_size_temporary():
     # the stacked even and odd halves, 2 * 401^2 entries, and one row block's
     # temporaries; an n x n temporary would add 1.0
     assert peak < 0.75 * 8 * n**2
+
+
+@pytest.mark.parametrize("check", ["trace_formula_check", "indefiniteness"])
+def test_lapack_gets_the_halves_after_b_is_freed(monkeypatch, check):
+    # B is 1.0 and its stacked halves 0.5 * 8n^2 bytes; holding both when
+    # LAPACK starts would read 1.5
+    n = 801
+    g = make_grid(TRAPEZOID, n)
+    received = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a):
+        received.append((a.shape, tracemalloc.get_traced_memory()[0]))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    tracemalloc.start()
+    try:
+        if check == "trace_formula_check":
+            assert trace_formula_check(green_dirichlet(), g).residual < 1e-12
+        else:
+            cli._indefiniteness(green_dirichlet(), g, "fail")
+    finally:
+        tracemalloc.stop()
+    [(shape, current)] = received
+    assert shape == (2, 401, 401)
+    assert current < 0.6 * 8 * n**2
 
 
 def parity_sums(n):

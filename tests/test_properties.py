@@ -409,6 +409,8 @@ def test_discretize_is_bit_identical_to_whole_array_reference(n, midpoint, kind,
     s = np.sqrt(g.weights)
     weighted = reference_kernel(spec, g) * np.outer(s, s)
     b = nystrom.discretize(spec, g)
+    # exactly symmetric as weighted, so discretize needs no symmetrizing pass
+    assert same_bits(b.entries, b.entries.T.copy()) and b.asymmetry == 0.0
     assert same_bits(b.entries, 0.5 * (weighted + weighted.T))
     assert b.asymmetry == float(np.abs(weighted - weighted.T).max())
     reference = SymMatrix(entries=weighted)
@@ -447,6 +449,8 @@ def test_discretize_names_the_first_nonfinite_node_pair(n, midpoint, row, column
     table[i, j] = np.nan
     # symmetrization spreads the NaN to (j, i); row-major order meets the upper one first
     first, second = min(i, j), max(i, j)
-    message = f"kernel value is not finite at nodes ({g.nodes[first]!r}, {g.nodes[second]!r})"
+    # plain floats, not numpy reprs such as np.float64(0.5)
+    x, y = float(g.nodes[first]), float(g.nodes[second])
+    message = f"kernel value is not finite at nodes ({x!r}, {y!r})"
     with pytest.raises(ValueError, match=re.escape(message)):
         nystrom.discretize(kernels.tabulated(table, g), g)
