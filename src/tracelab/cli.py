@@ -52,6 +52,13 @@ _NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 # Work cap on the wave-trace time grid, counted before it is built; the
 # trace costs eigenvalues x steps, see wavetrace._MAX_LATTICE
 _MAX_TIME_STEPS = 10**4
+# Caps on the sample size, checked before the grid is built.  On a 2-vCPU
+# VM with 2 OpenBLAS threads a dense kernel matrix at n = 4001 took 4.2 s
+# and 215 MiB in trace-check, 5.1 s and 434 MiB in spectrum --count 10;
+# 10^7 sampled values took 0.5 s and 259 MiB in heat-trace, 1.4 s and
+# 223 MiB in heat-compare, 8.3 s and 171 MiB in bvp-compare (20 trials)
+_MAX_MATRIX = 4001**2
+_MAX_SAMPLES = 10**7
 
 
 def finite(text: str) -> float:
@@ -64,6 +71,13 @@ def finite(text: str) -> float:
 
 def _parse_floats(text: str) -> list[float]:
     return [finite(part) for part in text.split(",") if part]
+
+
+def _grid(kind: str, n: int, per_node: int = 1, cap: int = _MAX_SAMPLES):
+    """make_grid(kind, n), refused when its sample of per_node values a node passes cap."""
+    if n * max(per_node, 1) > cap:
+        raise ValueError(f"n={n} needs {n * per_node:.4g} sampled values; the cap is {cap:.4g}")
+    return make_grid(kind, n)
 
 
 def _indefiniteness(spec, grid, mode: str) -> None:
@@ -103,7 +117,7 @@ def _kernel_and_grid(args):
         raise ValueError(f"unknown kernel {args.kernel!r} "
                          "(green, heat-circle, or a .csv path)")
     grid = spec.grid if spec.kind == kernels.TABULATED else \
-        make_grid(_GRID_NAMES[args.grid], args.n)
+        _grid(_GRID_NAMES[args.grid], args.n, per_node=args.n, cap=_MAX_MATRIX)
     _indefiniteness(spec, grid, args.indefinite)
     return spec, grid
 
@@ -162,7 +176,7 @@ def _cmd_bvp_compare(args):
 
     if args.trials < 1:
         raise ValueError(f"bvp-compare needs at least one trial, got {args.trials}")
-    grid = make_grid(TRAPEZOID, args.n)
+    grid = _grid(TRAPEZOID, args.n, per_node=30)  # the 30 modes of each f
     worst = -1.0
     worst_data = None
     for trial in range(args.trials):
@@ -193,7 +207,7 @@ def _cmd_theta(args):
 def _cmd_heat_compare(args):
     from . import fileio, heat
 
-    grid = make_grid(MIDPOINT, args.n)
+    grid = _grid(MIDPOINT, args.n, per_node=2 * args.modes + 1)
     f = heat.random_trig_sample(grid, modes=args.modes, seed=args.seed)
     spectral = heat.heat_evolve(f, grid, args.t, method=heat.SPECTRAL,
                                 k_max=args.kmax)
@@ -212,7 +226,7 @@ def _cmd_heat_trace(args):
     ts = _parse_floats(args.t)
     if not ts:
         raise ValueError("heat-trace needs at least one t value")
-    grid = make_grid(MIDPOINT, args.n)
+    grid = _grid(MIDPOINT, args.n)
     reports = [heat.heat_trace_check(t, grid) for t in ts]
     worst = max(r.residual for r in reports)
     return (f"heat-trace t={args.t} n={args.n}: max_residual={worst:.3e}",

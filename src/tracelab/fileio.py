@@ -1,4 +1,4 @@
-"""Deterministic CSV/JSON writers shared by the experiment modules.
+"""Deterministic CSV/JSON writers, and the CSV table reader, of the experiment modules.
 
 Floats are rendered with repr (shortest round-trip form), so rerunning an
 experiment with identical inputs produces byte-identical files.
@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import csv
 import json
-from pathlib import Path
+import warnings
+
+import numpy as np
 
 
 def fmt(value) -> str:
@@ -29,38 +31,28 @@ def write_csv(path, header, rows) -> None:
 
 
 def read_csv(path):
-    """Return (header, rows) with every cell parsed as float when possible."""
+    """Return the header cells and the body as one float64 array from `numpy.loadtxt`."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path} is empty")
-        rows = []
-        for raw in reader:
-            parsed = []
-            for cell in raw:
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    parsed.append(cell)
-            rows.append(parsed)
-    return header, rows
+        header = next(csv.reader(fh), None)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            try:
+                table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2)
+            except ValueError as exc:  # without numpy's advice to pass usecols
+                raise ValueError(f"{path}: {str(exc).split(';')[0]}") from None
+    if not table.size:
+        raise ValueError(f"{path} has no data rows")
+    return header, table
 
 
-def to_builtin(obj):
-    """Recursively convert numpy scalars/arrays so json can serialize them."""
-    if hasattr(obj, "item") and not hasattr(obj, "__len__"):
-        return obj.item()
-    if hasattr(obj, "tolist"):
-        return obj.tolist()
-    if isinstance(obj, dict):
-        return {k: to_builtin(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_builtin(v) for v in obj]
-    return obj
+def _tolist(obj):
+    """json's hook for numpy arrays and non-float scalars; np.float64 is a float."""
+    if not hasattr(obj, "tolist"):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return obj.tolist()
 
 
 def write_json(path, obj) -> None:
-    with open(Path(path), "w") as fh:
-        json.dump(to_builtin(obj), fh, indent=2, sort_keys=True)
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True, default=_tolist)
         fh.write("\n")

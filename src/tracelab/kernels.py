@@ -207,13 +207,16 @@ def diagonal_trace(spec: KernelSpec, grid: Grid) -> float:
 
 
 def kernel_from_csv(path) -> KernelSpec:
-    """Load a tabulated kernel; the grid kind is inferred from the nodes."""
-    header, rows = read_csv(path)
+    """Load a tabulated kernel; its nodes label the columns and rows and fix the grid."""
+    header, table = read_csv(path)
     nodes = np.array([float(c) for c in header[1:]])
-    values = np.array([row[1:] for row in rows], dtype=float)
     n = len(nodes)
     for kind in (TRAPEZOID, MIDPOINT):
         candidate = make_grid(kind, n)
         if np.allclose(candidate.nodes, nodes, rtol=0.0, atol=1e-12):
-            return tabulated(values, candidate)
+            # the row labels, before tabulated refuses a table that is not n x n
+            ok = np.isclose(table[:n, 0], nodes[:len(table)], rtol=0.0, atol=1e-12)
+            if not ok.all():
+                raise ValueError(f"{path}: row {ok.argmin() + 1} is not labelled with its node")
+            return tabulated(table[:, 1:], candidate)
     raise ValueError("CSV nodes match neither uniform grid kind")

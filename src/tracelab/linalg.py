@@ -339,20 +339,8 @@ def eigh_eigen(a) -> EigenDecomposition:
     return _sorted_decomposition(values, vectors)
 
 
-def eigh_values(a) -> np.ndarray:
-    """Eigenvalues only, sorted descending and read-only, by one LAPACK call.
-
-    The values-only sibling of `eigh_eigen`: a reflection-symmetric matrix
-    is split the same way and `numpy.linalg.eigvalsh` runs on the stacked
-    halves; any other matrix gets `numpy.linalg.eigvalsh` whole, bit for bit.
-    """
-    sym = _as_sym(a)
-    blocks = _reflection_blocks(sym.entries)
-    return _values(sym.entries if blocks is None else blocks, sym.n)
-
-
 def _values(a: np.ndarray, n: int) -> np.ndarray:
-    """`eigh_values` of B from one `numpy.linalg.eigvalsh` call on a.
+    """B's eigenvalues, descending and read-only, from one `eigvalsh` call on a.
 
     a is B itself, n x n, or the (2, h, h) stack `_reflection_blocks`
     made of it, so a caller that holds the stack can free B first.

@@ -109,7 +109,7 @@ def _eigenvalues(spec: KernelSpec, grid: Grid, *, jacobi: bool) -> np.ndarray:
 
     jacobi=True runs Jacobi values-only.  Otherwise one LAPACK call: a
     reflection-symmetric B (the Green and heat-circle kernels on either
-    grid) is split into its even and odd halves as `linalg.eigh_values`
+    grid) is split into its even and odd halves as `linalg.eigh_eigen`
     splits it, and B is freed before LAPACK runs on the halves, so B and
     the halves are never held together with LAPACK's copy; any other B,
     such as an asymmetric tabulated kernel, goes to LAPACK whole.

@@ -321,11 +321,14 @@ def test_only_a_cli_process_freezes_its_import_heap():
     assert _fresh_python(called).splitlines()[-1] == "0 True"
 
 
-def test_process_runs_match_in_process_runs(capsys, tmp_path):
-    # the __main__ block and the eigenvalue helper, warnings as errors;
-    # n = 201 takes the split LAPACK path for both eigenvalue checks
+def test_process_runs_match_in_process_runs(capsys, tmp_path, write_kernel_csv):
+    # the __main__ block, the eigenvalue helper and the table reader, warnings
+    # as errors; n = 201 takes the split LAPACK path for both eigenvalue checks
+    g = make_grid(TRAPEZOID, 201)
+    table = write_kernel_csv(kernels.tabulated(kernels.green_dirichlet().matrix(g), g))
     runs = {
         "trace": ["trace-check", "--n", "201", "--out", "{dir}/t.csv"],
+        "table": ["trace-check", "--kernel", str(table), "--out", "{dir}/k.csv"],
         "spectrum": ["spectrum", "--n", "201", "--count", "3", "--out", "{dir}/s.csv"],
         "basel": ["basel", "--kmax", "1000", "--format", "json", "--out", "{dir}/b.json"],
     }
@@ -485,7 +488,31 @@ BAD_INPUTS = [
     (["heat-compare", "--modes", "-1"], 2),
     (["length-spectrum", "--shape", "disc", "--max-bounces", "1"], 2),
     (["length-spectrum", "--shape", "disc", "--max-bounces", "-5"], 2),
+    (["trace-check", "--n", "100000"], 2),
+    (["spectrum", "--n", "30000", "--count", "1"], 2),
+    (["heat-compare", "--n", "100000000"], 2),
+    (["heat-compare", "--modes", "100000000"], 2),
+    (["heat-trace", "--n", "100000000"], 2),
+    (["bvp-compare", "--n", "1000000"], 2),
+    (["trace-check", "--kernel", "{tmp}/header-only.csv"], 2),
+    (["trace-check", "--kernel", "{tmp}/ragged.csv"], 2),
+    (["trace-check", "--kernel", "{tmp}/text-cell.csv"], 2),
+    (["trace-check", "--kernel", "{tmp}/mislabelled.csv"], 2),
+    (["trace-check", "--kernel", "{tmp}/midpoint-labels.csv"], 2),
+    (["trace-check", "--kernel", "{tmp}/comment.csv"], 2),
 ]
+
+# kernel tables with a fault; each of the others is a 3-node trapezoid table
+BAD_TABLES = {
+    "empty.csv": "",
+    "header-only.csv": "node,0.0,0.5,1.0\r\n",
+    "ragged.csv": "node,0.0,0.5,1.0\n0.0,1,2,3\n0.5,2,3\n1.0,3,4,5\n",
+    "text-cell.csv": "node,0.0,0.5,1.0\n0.0,1,2,3\n0.5,2,3,x\n1.0,3,4,5\n",
+    "mislabelled.csv": "node,0.0,0.5,1.0\n0.0,1,2,3\n1.0,3,4,5\n0.5,2,3,4\n",
+    "midpoint-labels.csv": "node,0.0,0.5,1.0\n0.16666666666666666,1,2,3\n"
+                           "0.5,2,3,4\n0.8333333333333334,3,4,5\n",
+    "comment.csv": "node,0.0,0.5,1.0\n0.0,1,2,3\n0.5,2,3,4 # note\n1.0,3,4,5\n",
+}
 
 
 # error lines that must name the offending value
@@ -502,6 +529,21 @@ NAMED_IN_ERROR = {
     "heat-compare --modes -1": "modes",
     "length-spectrum --shape disc --max-bounces 1": "max_bounces",
     "length-spectrum --shape disc --max-bounces -5": "max_bounces",
+    "trace-check --n 100000": "n=100000 needs 1e+10 sampled values; the cap is 1.601e+07",
+    "spectrum --n 30000 --count 1": "n=30000 needs 9e+08 sampled values; the cap is 1.601e+07",
+    "heat-compare --n 100000000": "n=100000000 needs 1.1e+09 sampled values; the cap is 1e+07",
+    "heat-compare --modes 100000000": "n=512 needs 1.024e+11 sampled values; the cap is 1e+07",
+    "heat-trace --n 100000000": "n=100000000 needs 1e+08 sampled values; the cap is 1e+07",
+    "bvp-compare --n 1000000": "n=1000000 needs 3e+07 sampled values; the cap is 1e+07",
+    "trace-check --kernel {tmp}/header-only.csv": "header-only.csv has no data rows",
+    "trace-check --kernel {tmp}/ragged.csv": "ragged.csv: the number of columns changed "
+                                              "from 4 to 3 at row 2",
+    "trace-check --kernel {tmp}/text-cell.csv": "text-cell.csv: could not convert string 'x'",
+    "trace-check --kernel {tmp}/mislabelled.csv": "mislabelled.csv: row 2 is not labelled "
+                                                   "with its node",
+    "trace-check --kernel {tmp}/midpoint-labels.csv": "midpoint-labels.csv: row 1 is not "
+                                                       "labelled with its node",
+    "trace-check --kernel {tmp}/comment.csv": "could not convert string '4 # note'",
 }
 
 
@@ -528,8 +570,10 @@ def test_bad_input_exits_fast_without_traceback(capsys, tmp_path, monkeypatch,
                                                 argv, expected):
     # basel is the command that runs out of memory; no test should allocate that much
     monkeypatch.setattr(mercer, "basel_via_trace", _out_of_memory)
-    (tmp_path / "empty.csv").write_text("")
+    for name, text in BAD_TABLES.items():
+        (tmp_path / name).write_bytes(text.encode())
     (tmp_path / "list.json").write_text("[1]")
+    named = NAMED_IN_ERROR.get(" ".join(argv), "")
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     code, out, err = run_under_alarm(capsys, argv)
     assert code == expected
@@ -540,7 +584,9 @@ def test_bad_input_exits_fast_without_traceback(capsys, tmp_path, monkeypatch,
     assert out == ""
     line = err.strip().splitlines()[-1]  # after argparse's usage line
     assert "error: " in line and len(line) < 160
-    assert NAMED_IN_ERROR.get(" ".join(argv), "") in line
+    assert named in line
+    if "--kernel" in argv:  # no warning before it, and no usage line
+        assert err == f"{line}\n"
 
 
 def test_bvp_work_is_capped_on_k_max_alone(capsys):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from tracelab import kernels, nystrom, sturm, wavetrace
 from tracelab.billiard import LengthSpectrum
 from tracelab.heat import KERNEL, SPECTRAL, heat_evolve, random_trig_sample
-from tracelab.linalg import SymMatrix, eigh_eigen, eigh_values, jacobi_eigen
+from tracelab.linalg import SymMatrix, eigh_eigen, jacobi_eigen
 from tracelab.quadrature import MIDPOINT, TRAPEZOID, make_grid
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
@@ -316,10 +316,11 @@ def lapack_shapes():
         yield shapes
 
 
-def split_solves(b):
-    """eigh_values and eigh_eigen of b, and the shapes LAPACK was handed."""
+def split_solves(spec, grid):
+    """nystrom._eigenvalues and eigh_eigen of B, and the shapes LAPACK was handed."""
+    b = nystrom.discretize(spec, grid)
     with lapack_shapes() as shapes:
-        values = eigh_values(b)
+        values = nystrom._eigenvalues(spec, grid, jacobi=False)
         d = eigh_eigen(b)
     return values, d, shapes
 
@@ -339,7 +340,7 @@ def test_reflection_split_matches_dense_lapack(n, midpoint, heat, t):
     else:
         spec = kernels.green_dirichlet()
     b = nystrom.discretize(spec, g)
-    values, d, shapes = split_solves(b)
+    values, d, shapes = split_solves(spec, g)
     h = (n + 1) // 2
     assert shapes == [(2, h, h)] * 2
     dense = np.linalg.eigvalsh(b.entries)[::-1]
@@ -357,18 +358,18 @@ def test_reflection_split_only_where_the_matrix_has_the_symmetry(n, midpoint, se
     g = make_grid(MIDPOINT if midpoint else TRAPEZOID, n)
     # a random table has no reflection symmetry: LAPACK gets the whole matrix
     table = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, n))
-    b = nystrom.discretize(kernels.tabulated(table + table.T, g), g)
-    values, d, shapes = split_solves(b)
+    spec = kernels.tabulated(table + table.T, g)
+    b = nystrom.discretize(spec, g)
+    values, d, shapes = split_solves(spec, g)
     assert shapes == [(n, n)] * 2
     assert same_bits(values, np.linalg.eigvalsh(b.entries)[::-1].copy())
     assert same_bits(d.values, np.linalg.eigh(b.entries)[0][::-1].copy())
     # a table of Green values on its own grid has it, and takes the split
     green = kernels.green_dirichlet()
-    table = nystrom.discretize(kernels.tabulated(green.matrix(g), g), g)
-    values, _, shapes = split_solves(table)
+    values, _, shapes = split_solves(kernels.tabulated(green.matrix(g), g), g)
     h = (n + 1) // 2
     assert shapes == [(2, h, h)] * 2
-    assert same_bits(values, eigh_values(nystrom.discretize(green, g)))
+    assert same_bits(values, nystrom._eigenvalues(green, g, jacobi=False))
 
 
 def reference_kernel(spec, grid):
