@@ -53,12 +53,22 @@ _NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 # trace costs eigenvalues x steps, see wavetrace._MAX_LATTICE
 _MAX_TIME_STEPS = 10**4
 # Caps on the sample size, checked before the grid is built.  On a 2-vCPU
-# VM with 2 OpenBLAS threads a dense kernel matrix at n = 4001 took 4.2 s
-# and 215 MiB in trace-check, 5.1 s and 434 MiB in spectrum --count 10;
+# VM with 2 OpenBLAS threads a dense kernel matrix at n = 4001 took 2.7 s
+# and 184 MiB in trace-check, 5.1 s and 434 MiB in spectrum --count 10;
 # 10^7 sampled values took 0.5 s and 259 MiB in heat-trace, 1.4 s and
 # 223 MiB in heat-compare, 8.3 s and 171 MiB in bvp-compare (20 trials)
 _MAX_MATRIX = 4001**2
 _MAX_SAMPLES = 10**7
+# Cap on the Gaussians of heat-compare's kernel path, n (2 l_max + 1), about
+# 1e-8 s each: n = 10^4 with l_max = 10^4 took 2.2 s and 37 MiB, the whole
+# run at n = 909 090 with l_max = 109 4.1 s and 223 MiB
+_MAX_GAUSSIANS = 2 * 10**8
+# Cap on bvp-compare's work, trials (30 n + k_max): each trial samples 30
+# modes on n nodes and folds k_max gains, so the trial count alone bounds
+# nothing.  20 trials at n = 333 316, the largest n the cap allows them,
+# took 12.4 s and 194 MiB, 2000 at n = 1001 2.2 s and 36 MiB, 2 of
+# k_max = 10^8 gains 2.3 s and 44 MiB
+_MAX_TRIAL_WORK = 2 * 10**8
 
 
 def finite(text: str) -> float:
@@ -177,6 +187,10 @@ def _cmd_bvp_compare(args):
     if args.trials < 1:
         raise ValueError(f"bvp-compare needs at least one trial, got {args.trials}")
     grid = _grid(TRAPEZOID, args.n, per_node=30)  # the 30 modes of each f
+    work = args.trials * (30 * args.n + args.kmax)
+    if work > _MAX_TRIAL_WORK:
+        raise ValueError(f"trials={args.trials} at n={args.n} and k_max={args.kmax} need "
+                         f"{work:.4g} sampled values and gains; the cap is {_MAX_TRIAL_WORK:.4g}")
     worst = -1.0
     worst_data = None
     for trial in range(args.trials):
@@ -205,14 +219,18 @@ def _cmd_theta(args):
 
 
 def _cmd_heat_compare(args):
-    from . import fileio, heat
+    from . import fileio, heat, kernels
 
     grid = _grid(MIDPOINT, args.n, per_node=2 * args.modes + 1)
+    l_max = kernels.heat_circle(args.t, l_max=args.lmax).l_max
+    gaussians = args.n * (2 * l_max + 1)
+    if gaussians > _MAX_GAUSSIANS:
+        raise ValueError(f"n={args.n} with l_max={l_max} needs {gaussians:.4g} Gaussians; "
+                         f"the cap is {_MAX_GAUSSIANS:.4g}")
     f = heat.random_trig_sample(grid, modes=args.modes, seed=args.seed)
     spectral = heat.heat_evolve(f, grid, args.t, method=heat.SPECTRAL,
                                 k_max=args.kmax)
-    kernel = heat.heat_evolve(f, grid, args.t, method=heat.KERNEL,
-                              l_max=args.lmax)
+    kernel = heat.heat_evolve(f, grid, args.t, method=heat.KERNEL, l_max=l_max)
     sup = float(np.abs(spectral - kernel).max())
     return (f"heat-compare t={args.t} n={args.n} seed={args.seed}: sup_diff={sup:.6e}",
             {"sup_diff": sup, "t": args.t, "n": args.n, "seed": args.seed},

@@ -237,7 +237,7 @@ _REFLECTION_ODD_TOL = 8.0 * 2.0**-53
 _HALF_SQRT2 = math.sqrt(0.5)
 
 
-def _reflection_blocks(a: np.ndarray) -> np.ndarray | None:
+def _reflection_blocks(a: np.ndarray, *, in_place: bool = False) -> np.ndarray | None:
     """The even and odd diagonal blocks of Q B Q^T, stacked as (2, h, h), h = ceil(n/2).
 
     J reverses the node order, which is x -> 1 - x on a symmetric grid.  Q
@@ -253,8 +253,20 @@ def _reflection_blocks(a: np.ndarray) -> np.ndarray | None:
     and column are a decoupled pad entry below every Gershgorin disc, so
     the pad is the block's smallest eigenvalue.
 
-    Memory: the stack, about n^2/2 entries, and temporaries of one row
-    block of B, formed as `symmetrize_in_place` forms its own.
+    in_place=True writes the stack into a's own buffer, which must be
+    writeable and C-contiguous, and which the caller then gives up: row i
+    of both blocks is a's flat entries [2h i, 2h (i+1)).  That row is made
+    from rows i and n-1-i of a, and for odd n it reaches into row i+1.  So
+    the check runs over every row before the first write (a matrix without
+    the symmetry is left unchanged), the centre entry is read first, and
+    the pairs are folded from the centre outward: each write lands on rows
+    already read, and the last row, the centre's, on the first pair's
+    partner row.  Without in_place the stack is a new array, folded by the
+    same loop, and a is not changed.
+
+    Memory: the stack, about n^2/2 entries unless it lives in a, and
+    temporaries of one row block of B, formed as `symmetrize_in_place`
+    forms its own.
     """
     n = a.shape[0]
     if n < 2:
@@ -269,17 +281,19 @@ def _reflection_blocks(a: np.ndarray) -> np.ndarray | None:
         return None
     bound = 2.0 * _REFLECTION_ODD_TOL * scale
     flipped = a[::-1, ::-1]
-    blocks = np.empty((2, h, h))
-    for rows in row_blocks(n):
-        if rows.start >= m:
-            break
-        rows = slice(rows.start, min(rows.stop, m))
-        work = np.subtract(a[rows], flipped[rows])
-        if np.abs(work, out=work).max() > bound:
+    pairs = [slice(rows.start, min(rows.stop, m)) for rows in row_blocks(n) if rows.start < m]
+    for rows in pairs:
+        odd_part = np.subtract(a[rows], flipped[rows])
+        if np.abs(odd_part, out=odd_part).max() > bound:
             return None
+        del odd_part  # so that it is freed before the next block's is made
+    centre = a[m, m]
+    blocks = (a.reshape(-1)[:2 * h * h].reshape(h, 2, h).transpose(1, 0, 2) if in_place
+              else np.empty((2, h, h)))
+    for rows in reversed(pairs):
         # work = 2M on these rows, M = (B + JBJ)/2; the even block is
         # M[r, j] + M[r, n-1-j] and the odd block M[r, j] - M[r, n-1-j]
-        np.add(a[rows], flipped[rows], out=work)
+        work = np.add(a[rows], flipped[rows])
         left, right = work[:, :m], work[:, ::-1][:, :m]
         np.add(left, right, out=blocks[0, rows, :m])
         np.subtract(left, right, out=blocks[1, rows, :m])
@@ -289,7 +303,7 @@ def _reflection_blocks(a: np.ndarray) -> np.ndarray | None:
     blocks[:, :m, :m] *= 0.5
     if n % 2:
         blocks[0, m, :m] = blocks[0, :m, m]
-        blocks[0, m, m] = a[m, m]
+        blocks[0, m, m] = centre
         blocks[1, m, :] = blocks[1, :, m] = 0.0
         blocks[1, m, m] = pad
     return blocks
@@ -343,7 +357,9 @@ def _values(a: np.ndarray, n: int) -> np.ndarray:
     """B's eigenvalues, descending and read-only, from one `eigvalsh` call on a.
 
     a is B itself, n x n, or the (2, h, h) stack `_reflection_blocks`
-    made of it, so a caller that holds the stack can free B first.
+    made of it.  The stack may be a view into B's own buffer, written by
+    the in-place fold after every row was read, so a caller that gives up
+    B holds one n x n buffer while LAPACK copies one half.
     """
     values = np.linalg.eigvalsh(a)
     if a.ndim == 3:

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +34,31 @@ def write_kernel_csv(tmp_path):
         write_csv(path, ["node", *nodes], [[x, *row] for x, row in zip(nodes, spec.values)])
         return path
     return write
+
+
+# Runs its arguments as a child and prints the child's exit status and
+# ru_maxrss from wait4.  A child inherits the high-water mark of the process
+# that started it, so the command is started from this small interpreter
+# rather than from pytest, whose mark is far above a short command's peak.
+_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.fixture
+def cli_peak_rss():
+    """Runner of `python -m tracelab.cli *args` that returns (exit status, peak RSS in KiB).
+
+    The peak is the CLI process's own, read through a launcher process
+    (see _LAUNCHER); Linux reports ru_maxrss in KiB.
+    """
+    def run(*args):
+        out = subprocess.run([sys.executable, "-c", _LAUNCHER,
+                              sys.executable, "-m", "tracelab.cli", *args],
+                             capture_output=True, text=True, check=True).stdout
+        status, kib = map(int, out.split())
+        return status, kib
+    return run

@@ -382,6 +382,18 @@ def test_tabulated_kernel_above_half_the_float_range_runs(capsys, tmp_path, valu
         assert abs(float(out.split("lambda1=")[1]) - value) <= 1e-14 * value
 
 
+def test_trace_check_peaks_at_b_and_one_lapack_half(cli_peak_rss):
+    # B, 8 n^2 bytes, holds its own even and odd halves, and LAPACK copies
+    # one half, 0.25 of it; a separate stack of the halves would add 0.5.
+    # tracemalloc sees neither LAPACK's copy nor the process, so this reads
+    # the process's own peak above that of a run at n = 3.
+    n = 1601
+    base_status, base = cli_peak_rss("trace-check", "--n", "3")
+    status, peak = cli_peak_rss("trace-check", "--n", str(n))
+    assert base_status == status == 0
+    assert (peak - base) * 1024 < 1.4 * 8 * n**2
+
+
 def test_spectrum_signs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # the largest |f| of sin(k pi x) sits at nodes of opposite sign, so
     # anchoring the sign there let round-off, and so the thread count, pick it
@@ -494,6 +506,10 @@ BAD_INPUTS = [
     (["heat-compare", "--modes", "100000000"], 2),
     (["heat-trace", "--n", "100000000"], 2),
     (["bvp-compare", "--n", "1000000"], 2),
+    (["heat-compare", "--n", "900000", "--lmax", "10000"], 2),
+    (["heat-compare", "--t", "40000", "--n", "100000"], 2),
+    (["bvp-compare", "--trials", "1000000000"], 2),
+    (["bvp-compare", "--n", "101", "--kmax", "100000000", "--trials", "3"], 2),
     (["trace-check", "--kernel", "{tmp}/header-only.csv"], 2),
     (["trace-check", "--kernel", "{tmp}/ragged.csv"], 2),
     (["trace-check", "--kernel", "{tmp}/text-cell.csv"], 2),
@@ -535,6 +551,14 @@ NAMED_IN_ERROR = {
     "heat-compare --modes 100000000": "n=512 needs 1.024e+11 sampled values; the cap is 1e+07",
     "heat-trace --n 100000000": "n=100000000 needs 1e+08 sampled values; the cap is 1e+07",
     "bvp-compare --n 1000000": "n=1000000 needs 3e+07 sampled values; the cap is 1e+07",
+    "heat-compare --n 900000 --lmax 10000": "n=900000 with l_max=10000 needs 1.8e+10 "
+                                            "Gaussians; the cap is 2e+08",
+    "heat-compare --t 40000 --n 100000": "n=100000 with l_max=9713 needs 1.943e+09 "
+                                         "Gaussians; the cap is 2e+08",
+    "bvp-compare --trials 1000000000": "trials=1000000000 at n=1001 and k_max=500 need "
+                                       "3.053e+13 sampled values and gains; the cap is 2e+08",
+    "bvp-compare --n 101 --kmax 100000000 --trials 3": "trials=3 at n=101 and "
+                                                        "k_max=100000000 need 3e+08",
     "trace-check --kernel {tmp}/header-only.csv": "header-only.csv has no data rows",
     "trace-check --kernel {tmp}/ragged.csv": "ragged.csv: the number of columns changed "
                                               "from 4 to 3 at row 2",

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tracelab import kernels, nystrom, sturm, wavetrace
+from tracelab import kernels, linalg, nystrom, sturm, wavetrace
 from tracelab.billiard import LengthSpectrum
 from tracelab.heat import KERNEL, SPECTRAL, heat_evolve, random_trig_sample
 from tracelab.linalg import SymMatrix, eigh_eigen, jacobi_eigen
@@ -370,6 +370,29 @@ def test_reflection_split_only_where_the_matrix_has_the_symmetry(n, midpoint, se
     h = (n + 1) // 2
     assert shapes == [(2, h, h)] * 2
     assert same_bits(values, nystrom._eigenvalues(green, g, jacobi=False))
+
+
+@PROPERTY
+@given(n=st.integers(min_value=2, max_value=400), midpoint=st.booleans(),
+       heat=st.booleans(), t=st.floats(min_value=1e-4, max_value=5.0))
+@example(n=2, midpoint=False, heat=False, t=1.0)
+@example(n=3, midpoint=False, heat=False, t=1.0)
+@example(n=399, midpoint=False, heat=False, t=1.0)  # two row blocks before the centre
+@example(n=399, midpoint=True, heat=True, t=0.01)
+def test_halves_folded_into_b_are_the_new_stack_bit_for_bit(n, midpoint, heat, t):
+    g = make_grid(MIDPOINT if midpoint else TRAPEZOID, n)
+    if heat:
+        assume(math.sqrt(2.0 * t) >= g.spacing)
+        spec = kernels.heat_circle(t)
+    else:
+        spec = kernels.green_dirichlet()
+    b = nystrom.discretize(spec, g).entries
+    stack = linalg._reflection_blocks(b)
+    buffer = b.copy()
+    folded = linalg._reflection_blocks(buffer, in_place=True)
+    assert np.shares_memory(folded, buffer) and not np.shares_memory(stack, b)
+    assert same_bits(folded, stack)
+    assert same_bits(nystrom._eigenvalues(spec, g, jacobi=False), linalg._values(stack, n))
 
 
 def reference_kernel(spec, grid):
