@@ -33,6 +33,9 @@ _BOUNDARY_TOL = 1e-12
 # 2 s and 150 MB.
 _MAX_SEGMENTS = 10**5
 _MAX_CANDIDATES = 10**6
+# Cap on a disc's radius: _disc_hit squares lengths up to the radius, and
+# above 1.34e154 the square overflows to inf, and the hit distance with it
+_MAX_RADIUS = 1e150
 
 
 @dataclass(frozen=True)
@@ -190,10 +193,13 @@ def simulate(table: Table, start, direction, length_budget: float) -> Trajectory
         bounces = length_budget * (abs(d[0]) / table.a + abs(d[1]) / table.b)
         hit = _rectangle_hit
     else:
+        if table.radius > _MAX_RADIUS:
+            raise ValueError(f"disc radius={table.radius} is above the cap of {_MAX_RADIUS:g}")
         _validate_disc_start(table, p, d)
-        # the impact parameter |p x d| is conserved, so all chords are equal
-        impact = p[0] * d[1] - p[1] * d[0]
-        chord = 2.0 * math.sqrt(max(table.radius**2 - impact**2, 0.0))
+        # the impact parameter |p x d| is conserved, so all chords are equal;
+        # R^2 - b^2 is formed as (R - |b|)(R + |b|), as in _disc_hit
+        impact = abs(p[0] * d[1] - p[1] * d[0])
+        chord = 2.0 * math.sqrt(max((table.radius - impact) * (table.radius + impact), 0.0))
         bounces = length_budget / chord if chord > 0.0 else math.inf
         hit = _disc_hit
     if bounces > _MAX_SEGMENTS:
@@ -278,11 +284,13 @@ def length_spectrum(table: Table, l_max: float, max_bounces: int = 64) -> Length
         raise ValueError(f"l_max must be positive, got {l_max}")
     entries = []
     if table.shape == RECTANGLE:
-        p_max = int(math.floor(l_max / (2.0 * table.a)))
-        q_max = int(math.floor(l_max / (2.0 * table.b)))
+        # a side whose quotient passes the cap is refused alike, also one
+        # whose quotient overflowed to inf
+        p_max, q_max = (math.floor(min(l_max / (2.0 * side), _MAX_CANDIDATES))
+                        for side in (table.a, table.b))
         if (p_max + 1) * (q_max + 1) > _MAX_CANDIDATES:
-            raise ValueError(f"l_max={l_max} needs more than {_MAX_CANDIDATES} "
-                             "winding pairs, the cap")
+            raise ValueError(f"l_max={l_max} with a={table.a}, b={table.b} needs more "
+                             f"than {_MAX_CANDIDATES} winding pairs, the cap")
         for p in range(p_max + 1):
             for q in range(q_max + 1):
                 if p == 0 and q == 0:
@@ -319,13 +327,10 @@ def length_spectrum(table: Table, l_max: float, max_bounces: int = 64) -> Length
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     s = traj.segments
-    # Python floats: write_csv then formats each cell without a numpy scalar
     write_csv(path, ("segment", "start_x", "start_y", "dir_x", "dir_y", "length"),
-              zip(range(len(s)), *s.start.T.tolist(), *s.direction.T.tolist(),
-                  s.length.tolist()))
+              (range(len(s)), *s.start.T, *s.direction.T, s.length))
 
 
 def spectrum_to_csv(spectrum: LengthSpectrum, path) -> None:
-    rows = [(length, f"{d[0]},{d[1]}")
-            for length, d in zip(spectrum.lengths, spectrum.descriptors)]
-    write_csv(path, ("length", "descriptor"), rows)
+    write_csv(path, ("length", "descriptor"),
+              (spectrum.lengths, [f"{p},{q}" for p, q in spectrum.descriptors]))

@@ -235,7 +235,7 @@ def _cmd_heat_compare(args):
     return (f"heat-compare t={args.t} n={args.n} seed={args.seed}: sup_diff={sup:.6e}",
             {"sup_diff": sup, "t": args.t, "n": args.n, "seed": args.seed},
             lambda path: fileio.write_csv(path, ("node", "f", "u_spectral", "u_kernel"),
-                                          zip(grid.nodes, f, spectral, kernel)))
+                                          (grid.nodes, f, spectral, kernel)))
 
 
 def _cmd_heat_trace(args):
@@ -469,7 +469,7 @@ def main(argv=None) -> int:
             elif to_csv is not None:
                 to_csv(args.out)
             else:
-                fileio.write_csv(args.out, list(record), [list(record.values())])
+                fileio.write_csv(args.out, list(record), [[v] for v in record.values()])
         if getattr(args, "report", None):
             fileio.write_json(args.report, record)
         print(summary)

@@ -167,6 +167,6 @@ def heat_trace_check(t: float, grid: Grid) -> HeatTraceReport:
 
 def trace_sweep_to_csv(ts, reports, path) -> None:
     """Write heat-trace results as CSV rows t,lhs,rhs,residual."""
-    rows = [(t, r.spectral_side, r.kernel_side, r.residual)
-            for t, r in zip(ts, reports)]
-    write_csv(path, ("t", "lhs", "rhs", "residual"), rows)
+    write_csv(path, ("t", "lhs", "rhs", "residual"),
+              (ts, [r.spectral_side for r in reports], [r.kernel_side for r in reports],
+               [r.residual for r in reports]))

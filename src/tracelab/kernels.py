@@ -43,15 +43,15 @@ def eval_green(x, y):
     return float(out) if out.ndim == 0 else out
 
 
-def default_heat_truncation(t: float, eps: float = _HEAT_EPS) -> int:
-    """Periodization cutoff ceil(1 + 8 sqrt(t) sqrt(-ln eps)).
+def default_heat_truncation(t: float) -> int:
+    """Periodization cutoff ceil(1 + 8 sqrt(t) sqrt(-ln eps)), eps = _HEAT_EPS.
 
     Chosen so the dropped Gaussian tail is far below eps; see
     periodic_tail_bound for the bound actually guaranteed.
     """
     if t <= 0.0:
         raise ValueError(f"needs t > 0, got {t}")
-    return math.ceil(1.0 + 8.0 * math.sqrt(t) * math.sqrt(-math.log(eps)))
+    return math.ceil(1.0 + 8.0 * math.sqrt(t) * math.sqrt(-math.log(_HEAT_EPS)))
 
 
 def periodic_tail_bound(t: float, l_max: int) -> float:

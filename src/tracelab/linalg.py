@@ -376,10 +376,10 @@ class TraceIdentityReport:
     residual: float
 
 
-def matrix_trace_identity(a, tol: float = 1e-12) -> TraceIdentityReport:
+def matrix_trace_identity(a) -> TraceIdentityReport:
     """Both sides of the trace identity: sum of eigenvalues vs matrix trace."""
     sym = _as_sym(a)
-    eig_sum = float(np.sum(jacobi_eigen(sym, tol=tol, values_only=True)))
+    eig_sum = float(np.sum(jacobi_eigen(sym, values_only=True)))
     diag_sum = float(np.trace(sym.entries))
     return TraceIdentityReport(eig_sum=eig_sum, diag_sum=diag_sum,
                                residual=abs(eig_sum - diag_sum))

@@ -151,14 +151,8 @@ def trace_formula_check(spec: KernelSpec, grid: Grid) -> TraceFormulaReport:
 def spectrum_to_csv(spectrum: OperatorSpectrum, values_path, functions_path,
                     analytic=None) -> None:
     """Export eigenvalues (k, lambda[, analytic_lambda]) and eigenfunction rows."""
-    # Python floats: write_csv then formats each cell without a numpy scalar
-    values = spectrum.eigenvalues.tolist()
-    if analytic is None:
-        header = ("k", "lambda")
-        rows = [(k + 1, v) for k, v in enumerate(values)]
-    else:
-        header = ("k", "lambda", "analytic_lambda")
-        rows = [(k + 1, v, a) for k, (v, a) in enumerate(zip(values, analytic))]
-    write_csv(values_path, header, rows)
+    values = spectrum.eigenvalues
+    columns = (range(1, len(values) + 1), values) + (() if analytic is None else (analytic,))
+    write_csv(values_path, ("k", "lambda", "analytic_lambda")[:len(columns)], columns)
     write_csv(functions_path, [f"x{i}" for i in range(spectrum.grid.n)],
-              spectrum.eigenfunctions.tolist())
+              spectrum.eigenfunctions.T)

@@ -172,4 +172,4 @@ def residual_check(u: np.ndarray, f: np.ndarray, grid: Grid) -> float:
 
 def solution_to_csv(grid: Grid, u: np.ndarray, f: np.ndarray, path) -> None:
     """Write a solved problem as CSV rows node,u,f."""
-    write_csv(path, ("node", "u", "f"), zip(grid.nodes, u, f))
+    write_csv(path, ("node", "u", "f"), (grid.nodes, u, f))

@@ -24,6 +24,12 @@ _BLOCK_VALUES = 2**18
 # built: 10**6 pairs, a 1000^2 cutoff, hold about 0.8 10**6 eigenvalues,
 # whose trace at the CLI's cap of 10**4 time samples takes about 9 s and 56 MB
 _MAX_LATTICE = 10**6
+# Cap on the smoothing width: sigma**2 overflows above 1.34e154
+_MAX_SIGMA = 1e150
+# Work cap on the (peak, length) pairs within 2 tol that compare_lengths
+# matches in a Python loop, counted before they are built: 1.2 10**6 pairs
+# took 0.6 s and 53 MiB, 7.3 10**6 pairs 6.1 s and 400 MiB (2-vCPU machine)
+_MAX_PAIRS = 10**6
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,8 +82,8 @@ def smoothed_wave_trace(spectrum: LaplaceSpectrum, t_grid,
     blocks of eigenvalues in ascending order, so repeated runs are bitwise
     identical and the workspace stays bounded.
     """
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0.0 < sigma <= _MAX_SIGMA:
+        raise ValueError(f"sigma={sigma} is outside (0, {_MAX_SIGMA:g}]")
     if len(spectrum.eigenvalues) == 0:
         raise ValueError("cannot form a trace signal from an empty spectrum")
     t = np.asarray(t_grid, dtype=float)
@@ -202,8 +208,12 @@ def compare_lengths(peaks, spectrum: LengthSpectrum, tol: float) -> LengthMatchR
     lo = np.searchsorted(ranked, peaks - 2.0 * tol, side="left")
     hi = np.searchsorted(ranked, peaks + 2.0 * tol, side="right")
     counts = hi - lo
+    pairs = int(counts.sum())
+    if pairs > _MAX_PAIRS:
+        raise ValueError(f"tol={tol} puts {pairs} (peak, length) pairs within 2 tol; "
+                         f"the cap is {_MAX_PAIRS}")
     peak_of = np.repeat(np.arange(len(peaks)), counts)
-    rank = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+    rank = np.arange(pairs) - np.repeat(np.cumsum(counts) - counts - lo, counts)
     length_of = order[rank]
     distance = np.abs(peaks[peak_of] - lengths[length_of])
     near = distance <= tol
@@ -226,7 +236,7 @@ def compare_lengths(peaks, spectrum: LengthSpectrum, tol: float) -> LengthMatchR
 
 
 def signal_to_csv(signal: TraceSignal, path) -> None:
-    write_csv(path, ("t", "value"), zip(signal.t_grid, signal.values))
+    write_csv(path, ("t", "value"), (signal.t_grid, signal.values))
 
 
 def match_report_to_json(report: LengthMatchReport, path, extra: dict | None = None) -> None:

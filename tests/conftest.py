@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -31,8 +32,33 @@ def write_kernel_csv(tmp_path):
     def write(spec, name="kernel.csv"):
         path = tmp_path / name
         nodes = spec.grid.nodes
-        write_csv(path, ["node", *nodes], [[x, *row] for x, row in zip(nodes, spec.values)])
+        write_csv(path, ["node", *nodes], [nodes, *spec.values.T])
         return path
+    return write
+
+
+def _cell(value) -> str:
+    """Render a cell: round-trip repr for floats, str for everything else."""
+    if isinstance(value, float):
+        return repr(float(value))  # plain float repr even for numpy scalars
+    if hasattr(value, "item"):  # other numpy scalars
+        return _cell(value.item())
+    return str(value)
+
+
+@pytest.fixture
+def write_csv_by_cell():
+    """The CSV writer of rows that rendered each cell with one call.
+
+    It is the rule `fileio.write_csv` applied before it took columns, kept
+    as the oracle of that writer's bytes.
+    """
+    def write(path, header, rows):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_cell(cell) for cell in row])
     return write
 
 

@@ -18,7 +18,6 @@ from tracelab.billiard import (
     spectrum_to_csv,
     trajectory_to_csv,
 )
-from tracelab.fileio import write_csv
 
 SQRT2 = math.sqrt(2.0)
 
@@ -400,14 +399,13 @@ def test_trajectory_csv(tmp_path):
     assert len(lines) == 5
 
 
-def test_trajectory_csv_bytes_match_cell_by_cell_numpy_scalars(tmp_path):
-    # the columns go to write_csv as Python floats; the bytes are those of the
-    # numpy scalars write_csv was handed one cell at a time before
+def test_trajectory_csv_bytes_match_cell_by_cell_numpy_scalars(tmp_path, write_csv_by_cell):
+    # the bytes are those of the numpy scalars rendered one cell at a time
     traj = simulate(disc(1.0), (0.1, -0.3), (0.6, 0.8), 40.0)
     s = traj.segments
     reference = tmp_path / "reference.csv"
-    write_csv(reference, ("segment", "start_x", "start_y", "dir_x", "dir_y", "length"),
-              zip(range(len(s)), *s.start.T, *s.direction.T, s.length))
+    write_csv_by_cell(reference, ("segment", "start_x", "start_y", "dir_x", "dir_y", "length"),
+                      zip(range(len(s)), *s.start.T, *s.direction.T, s.length))
     path = tmp_path / "traj.csv"
     trajectory_to_csv(traj, path)
     assert len(s) > 10 and path.read_bytes() == reference.read_bytes()

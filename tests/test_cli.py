@@ -1,7 +1,11 @@
+import argparse
+import contextlib
 import csv
 import importlib
+import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -10,6 +14,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tracelab
 from tracelab import cli, kernels, mercer, nystrom
@@ -516,6 +522,11 @@ BAD_INPUTS = [
     (["trace-check", "--kernel", "{tmp}/mislabelled.csv"], 2),
     (["trace-check", "--kernel", "{tmp}/midpoint-labels.csv"], 2),
     (["trace-check", "--kernel", "{tmp}/comment.csv"], 2),
+    (["billiard", "--shape", "disc", "--radius", "1e200"], 2),
+    (["length-spectrum", "--b", "5e-324"], 2),
+    (["length-spectrum", "--a", "5e-324"], 2),
+    (["wave-trace", "--sigma", "1e200"], 2),
+    (["wave-trace", "--t-max", "600", "--t-step", "0.06", "--window", "1", "--tol", "1000"], 2),
 ]
 
 # kernel tables with a fault; each of the others is a 3-node trapezoid table
@@ -568,22 +579,35 @@ NAMED_IN_ERROR = {
     "trace-check --kernel {tmp}/midpoint-labels.csv": "midpoint-labels.csv: row 1 is not "
                                                        "labelled with its node",
     "trace-check --kernel {tmp}/comment.csv": "could not convert string '4 # note'",
+    "billiard --shape disc --radius 1e200": "radius=1e+200",
+    "length-spectrum --b 5e-324": "b=5e-324",
+    "length-spectrum --a 5e-324": "a=5e-324",
+    "wave-trace --sigma 1e200": "sigma=1e+200",
+    "wave-trace --t-max 600 --t-step 0.06 --window 1 --tol 1000": "tol=1000.0 puts 7260158 "
+                                                                   "(peak, length) pairs",
 }
 
 
-def run_under_alarm(capsys, argv):
-    """run() under a 5 s alarm, asserting that it returns within 1 s."""
+@contextlib.contextmanager
+def alarm(argv):
+    """Raise Hung in the block when it runs past 5 s."""
     def expire(signum, frame):
         raise Hung(" ".join(argv))
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, 5.0)
-    start = time.perf_counter()
     try:
-        result = run(capsys, *argv)
+        yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def run_under_alarm(capsys, argv):
+    """run() under the alarm, asserting that it returns within 1 s."""
+    start = time.perf_counter()
+    with alarm(argv):
+        result = run(capsys, *argv)
     assert time.perf_counter() - start < 1.0
     return result
 
@@ -611,6 +635,58 @@ def test_bad_input_exits_fast_without_traceback(capsys, tmp_path, monkeypatch,
     assert named in line
     if "--kernel" in argv:  # no warning before it, and no usage line
         assert err == f"{line}\n"
+
+
+# option values whose every use keeps a run's work small: a size beyond the
+# caps is refused before its work starts
+TOKENS = ["0", "-0.0", "-1", "0.5", "2.5", "-1e-3", "1e-300", "5e-324", "1e5", "1e200",
+          "1e300", "nan", "inf", "-inf", "1", "2", "3", "7"]
+# the last line of a refusal; argparse's starts with the program's name
+REFUSAL = re.compile(r"^(tracelab[\w -]*: )?(error|numerical failure): ")
+
+
+def _command_options():
+    """{command: [(option, nargs, choices)]} of every option but the output ones."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: [(a.option_strings[0], a.nargs, a.choices) for a in p._actions
+                   if a.option_strings and a.dest not in ("help", "out", "format", "report")]
+            for name, p in sub.choices.items()}
+
+
+@st.composite
+def command_lines(draw):
+    command, options = draw(st.sampled_from(sorted(_command_options().items())))
+    argv = [command]
+    for option, nargs, choices in options:
+        if not draw(st.booleans()):
+            continue
+        if choices:
+            values = [draw(st.sampled_from(choices))]
+        elif option == "--kernel":
+            values = [draw(st.sampled_from(["green", "heat-circle"]))]
+        else:
+            values = draw(st.lists(st.sampled_from(TOKENS), min_size=nargs or 1,
+                                   max_size=nargs or 1))
+        argv += [option, *values]
+    output = draw(st.sampled_from([None, "csv", "json"]))
+    return argv + (["--format", output, "--out", "{tmp}/out"] if output else [])
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(argv=command_lines())
+@example(argv=["billiard", "--shape", "disc", "--radius", "1e200"])
+@example(argv=["length-spectrum", "--b", "5e-324"])
+@example(argv=["wave-trace", "--sigma", "1e200"])
+def test_no_command_line_ends_in_a_traceback(tmp_path_factory, argv):
+    argv = [arg.replace("{tmp}", str(tmp_path_factory.getbasetemp())) for arg in argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with alarm(argv), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code:
+        line = stderr.getvalue().strip().splitlines()[-1]  # after argparse's usage line
+        assert REFUSAL.match(line) and len(line) < 160, line
 
 
 def test_bvp_work_is_capped_on_k_max_alone(capsys):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from tracelab import cli, nystrom
-from tracelab.fileio import write_csv
 from tracelab.kernels import green_dirichlet, heat_circle, tabulated
 from tracelab.linalg import eigh_eigen, jacobi_eigen, row_blocks
 from tracelab.nystrom import (
@@ -320,23 +319,22 @@ def test_spectrum_csv_export(tmp_path):
     assert len(functions_path.read_text().splitlines()) == 4
 
 
-def test_spectrum_csv_bytes_match_cell_by_cell_numpy_scalars(tmp_path):
-    # the columns go to write_csv as Python floats; the bytes are those of the
-    # numpy scalars write_csv was handed one cell at a time before
+def test_spectrum_csv_bytes_match_cell_by_cell_numpy_scalars(tmp_path, write_csv_by_cell):
+    # the bytes are those of the numpy scalars rendered one cell at a time
     g = make_grid(TRAPEZOID, 201)
     spectrum = operator_spectrum(green_dirichlet(), g, 4)
     analytic = 1.0 / (math.pi * np.arange(1, 5)) ** 2
     for with_analytic in (False, True):
         reference_values, reference_functions = tmp_path / "rv.csv", tmp_path / "rf.csv"
         if with_analytic:
-            write_csv(reference_values, ("k", "lambda", "analytic_lambda"),
-                      [(k + 1, v, a) for k, (v, a) in
-                       enumerate(zip(spectrum.eigenvalues, analytic))])
+            write_csv_by_cell(reference_values, ("k", "lambda", "analytic_lambda"),
+                              [(k + 1, v, a) for k, (v, a) in
+                               enumerate(zip(spectrum.eigenvalues, analytic))])
         else:
-            write_csv(reference_values, ("k", "lambda"),
-                      [(k + 1, v) for k, v in enumerate(spectrum.eigenvalues)])
-        write_csv(reference_functions, [f"x{i}" for i in range(g.n)],
-                  spectrum.eigenfunctions)
+            write_csv_by_cell(reference_values, ("k", "lambda"),
+                              [(k + 1, v) for k, v in enumerate(spectrum.eigenvalues)])
+        write_csv_by_cell(reference_functions, [f"x{i}" for i in range(g.n)],
+                          spectrum.eigenfunctions)
         values_path, functions_path = tmp_path / "v.csv", tmp_path / "f.csv"
         spectrum_to_csv(spectrum, values_path, functions_path,
                         analytic=analytic if with_analytic else None)
