@@ -53,8 +53,8 @@ _NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 # trace costs eigenvalues x steps, see wavetrace._MAX_LATTICE
 _MAX_TIME_STEPS = 10**4
 # Caps on the sample size, checked before the grid is built.  On a 2-vCPU
-# VM with 2 OpenBLAS threads a dense kernel matrix at n = 4001 took 2.7 s
-# and 184 MiB in trace-check, 5.1 s and 434 MiB in spectrum --count 10;
+# VM with 2 OpenBLAS threads a dense kernel matrix at n = 4001 took 2.3 s
+# and 124 MiB in trace-check, 3.3 s and 251 MiB in spectrum --count 10;
 # 10^7 sampled values took 0.5 s and 259 MiB in heat-trace, 1.4 s and
 # 223 MiB in heat-compare, 8.3 s and 171 MiB in bvp-compare (20 trials)
 _MAX_MATRIX = 4001**2

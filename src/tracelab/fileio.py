@@ -45,18 +45,45 @@ def write_csv(path, header, columns) -> None:
 
 
 def read_csv(path):
-    """Return the header cells and the body as one float64 array from `numpy.loadtxt`."""
+    """Return the header cells and the body as one float64 array from `numpy.loadtxt`.
+
+    A body that is not a table of numbers is refused with its first fault,
+    located by `_first_fault`.
+    """
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), None)
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             try:
                 table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2)
-            except ValueError as exc:  # without numpy's advice to pass usecols
-                raise ValueError(f"{path}: {str(exc).split(';')[0]}") from None
+            except ValueError:
+                raise ValueError(f"{path}: {_first_fault(path)}") from None
     if not table.size:
         raise ValueError(f"{path} has no data rows")
     return header, table
+
+
+def _first_fault(path) -> str:
+    """The first ragged row or non-numeric cell below the header, rows and columns counted from 1.
+
+    Read again with the csv module, on the error path only; blank lines
+    carry no row, as in `numpy.loadtxt`.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        width = None
+        for number, row in enumerate(filter(None, reader), start=1):
+            width = width or len(row)
+            if len(row) != width:
+                return f"the number of columns changed from {width} to {len(row)} at row {number}"
+            for column, cell in enumerate(row, start=1):
+                try:
+                    float(cell)
+                except ValueError:
+                    return (f"could not convert string {cell!r} to float "
+                            f"at row {number}, column {column}")
+    return "the rows below the header are not a table of numbers"
 
 
 def _tolist(obj):

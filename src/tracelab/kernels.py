@@ -8,8 +8,10 @@ and nowhere else.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -150,35 +152,54 @@ class KernelSpec:
     def matrix(self, grid: Grid) -> np.ndarray:
         """Kernel sampled at all node pairs of the given grid.
 
-        The heat kernel gathers its row into the Toeplitz matrix c[|i - j|],
-        which is exactly symmetric; see `row` for what it refuses.  Each
-        built-in kind fills one new n x n array; a tabulated kernel returns
-        its read-only table, and only for the grid it was sampled on.
+        The Green kernel fills one new n x n array.  The heat kernel
+        returns a read-only view of its row as the Toeplitz matrix
+        c[|i - j|], which is exactly symmetric; see `row` for what it
+        refuses.  A tabulated kernel returns its read-only table, and only
+        for the grid it was sampled on.
         """
         if self.kind == GREEN:
             return _green_matrix(grid.nodes)
         if self.kind == HEAT_CIRCLE:
             row = self.row(grid)
             # window s of [c_{n-1}, ..., c_1, c_0, c_1, ..., c_{n-1}] is row n-1-s
-            return sliding_window_view(np.concatenate((row[:0:-1], row)), grid.n)[::-1].copy()
+            return sliding_window_view(np.concatenate((row[:0:-1], row)), grid.n)[::-1]
         if grid != self.grid:
             raise ValueError("a tabulated kernel is defined on the nodes of its own grid only")
         return self.values
 
+    def sampler(self, grid: Grid) -> Callable[[slice, np.ndarray], np.ndarray]:
+        """Function of a row slice and a buffer that returns those rows of `matrix(grid)`.
 
-def _green_matrix(nodes: np.ndarray) -> np.ndarray:
-    """eval_green on all node pairs, filled by row blocks into one array.
+        Green rows are formed in the buffer, so no n x n array is made.
+        The other kinds call `matrix` once and return read-only views of
+        it, leaving the buffer alone.
+        """
+        if self.kind == GREEN:
+            eval_green(grid.nodes, 0.0)  # refuses nodes outside [0,1]
+            return functools.partial(_green_rows, grid.nodes)
+        table = self.matrix(grid)
+        return lambda rows, out: table[rows]
+
+
+def _green_rows(nodes: np.ndarray, rows: slice, out: np.ndarray) -> np.ndarray:
+    """eval_green on the node pairs of the given rows, into out.
 
     min(x, y) (1 - max(x, y)) is x(1-y) for x <= y and y(1-x) otherwise,
     rounded the same way.
     """
+    block = np.maximum.outer(nodes[rows], nodes, out=out)
+    np.subtract(1.0, block, out=block)
+    block *= np.minimum.outer(nodes[rows], nodes)
+    return block
+
+
+def _green_matrix(nodes: np.ndarray) -> np.ndarray:
+    """eval_green on all node pairs, filled by row blocks into one array."""
     eval_green(nodes, 0.0)  # refuses nodes outside [0,1]
     out = np.empty((len(nodes), len(nodes)))
     for rows in row_blocks(len(nodes)):
-        block = out[rows]
-        np.maximum.outer(nodes[rows], nodes, out=block)
-        np.subtract(1.0, block, out=block)
-        block *= np.minimum.outer(nodes[rows], nodes)
+        _green_rows(nodes, rows, out=out[rows])
     return out
 
 

@@ -21,9 +21,9 @@ class NumericalError(RuntimeError):
 _BLOCK_ENTRIES = 2**16
 
 
-def row_blocks(n: int) -> list[slice]:
-    """Consecutive row slices of an n x n matrix, about 2**16 entries each."""
-    step = max(1, _BLOCK_ENTRIES // max(n, 1))
+def row_blocks(n: int, width: int | None = None) -> list[slice]:
+    """Consecutive slices of n rows of `width` entries (default n), about 2**16 entries each."""
+    step = max(1, _BLOCK_ENTRIES // max(n if width is None else width, 1))
     return [slice(first, min(first + step, n)) for first in range(0, n, step)]
 
 
@@ -112,17 +112,41 @@ class EigenDecomposition:
     vectors: np.ndarray
 
 
+def _first_rows_above(columns: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Per column, the first row where |scale x| exceeds 1e-12, or -1 where none does.
+
+    Scanned by row blocks, which stop once every column has its row, so
+    no temporary is larger than one block.
+    """
+    first = np.full(columns.shape[1], -1)
+    for rows in row_blocks(*columns.shape):
+        above = np.abs(columns[rows])
+        above *= scale
+        above = above > 1e-12
+        found = (first < 0) & above.any(axis=0)
+        first[found] = rows.start + above[:, found].argmax(axis=0)
+        if (first >= 0).all():
+            break
+    return first
+
+
+def _order(values: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """The column order: values descending, ties by descending first row above 1e-12.
+
+    `first` is that row of each column, -1 for an all-negligible column,
+    which counts as row 0, so repeated eigenvalues come out in a
+    reproducible vector order.
+    """
+    return np.lexsort((-np.maximum(first, 0), -values))
+
+
 def _sorted_decomposition(values: np.ndarray, vectors: np.ndarray) -> EigenDecomposition:
-    # ties broken by descending first-nonzero component index, so repeated
-    # eigenvalues come out in a reproducible vector order.  An all-zero column
-    # counts as 0, argmax cannot reduce the empty axis of a 0x0 matrix, and
-    # the mask stays a temporary so it does not add to the gather's peak
-    # memory.  The inputs may be views: the gathers make the only copies.
-    tiebreak = (-(np.abs(vectors) > 1e-12).argmax(axis=0) if vectors.size
-                else np.zeros(0, dtype=int))
-    order = np.lexsort((tiebreak, -values))
-    values = values[order]
-    vectors = vectors[:, order]
+    # the inputs may be views: the gathers make the only copies
+    order = _order(values, _first_rows_above(vectors))
+    return _read_only(values[order], vectors[:, order])
+
+
+def _read_only(values: np.ndarray, vectors: np.ndarray) -> EigenDecomposition:
     values.setflags(write=False)
     vectors.setflags(write=False)
     return EigenDecomposition(values=values, vectors=vectors)
@@ -237,7 +261,22 @@ _REFLECTION_ODD_TOL = 8.0 * 2.0**-53
 _HALF_SQRT2 = math.sqrt(0.5)
 
 
-def _reflection_blocks(a: np.ndarray, *, in_place: bool = False) -> np.ndarray | None:
+class Halves:
+    """The even and odd reflection blocks of an n x n matrix B, stacked as (2, h, h).
+
+    h = ceil(n/2); see `_fold_halves`.  B's eigenvalues are those of the
+    two blocks, less the odd block's pad for odd n.  A plain class: a
+    dataclass compiles its generated methods when the CLI imports this
+    module, about 0.4 ms.
+    """
+
+    __slots__ = ("blocks", "n")
+
+    def __init__(self, blocks: np.ndarray, n: int):
+        self.blocks, self.n = blocks, n
+
+
+def _fold_halves(rows_of, n: int) -> np.ndarray | None:
     """The even and odd diagonal blocks of Q B Q^T, stacked as (2, h, h), h = ceil(n/2).
 
     J reverses the node order, which is x -> 1 - x on a symmetric grid.  Q
@@ -245,125 +284,159 @@ def _reflection_blocks(a: np.ndarray, *, in_place: bool = False) -> np.ndarray |
     for odd n the centre node, then (e_i - e_{n-1-i})/sqrt 2.  When
     JBJ = B, Q B Q^T is block diagonal, so B's eigenpairs are those of two
     half-size blocks, a quarter of the dense LAPACK work (Cantoni & Butler,
-    Linear Algebra Appl. 13, 1976).  The dropped coupling is the
-    reflection-odd part (B - JBJ)/2.  None is returned where it exceeds
-    8u max|B|, checked row block by row block, so a matrix without the
-    symmetry costs about one block; and for n < 2 or entries near
-    overflow.  For odd n the odd block has n // 2 rows, and its last row
-    and column are a decoupled pad entry below every Gershgorin disc, so
-    the pad is the block's smallest eigenvalue.
+    Linear Algebra Appl. 13, 1976).  For odd n the odd block has n // 2
+    rows, and its last row and column are a decoupled pad entry below
+    every Gershgorin disc, so the pad is the block's smallest eigenvalue.
 
-    in_place=True writes the stack into a's own buffer, which must be
-    writeable and C-contiguous, and which the caller then gives up: row i
-    of both blocks is a's flat entries [2h i, 2h (i+1)).  That row is made
-    from rows i and n-1-i of a, and for odd n it reaches into row i+1.  So
-    the check runs over every row before the first write (a matrix without
-    the symmetry is left unchanged), the centre entry is read first, and
-    the pairs are folded from the centre outward: each write lands on rows
-    already read, and the last row, the centre's, on the first pair's
-    partner row.  Without in_place the stack is a new array, folded by the
-    same loop, and a is not changed.
+    rows_of(rows, out) returns B[rows] for a slice of rows, written into
+    the buffer out or as a view, or None to give up, as
+    `nystrom.discretize` does where the kernel is not finite.  It is
+    asked for each row block r before the centre and for its mirror rows
+    n-1-r, which are folded into the stack at once, and for odd n then
+    for the centre row; B itself is never held.  The dropped
+    coupling is the reflection-odd part (B - JBJ)/2.  None is returned
+    where it exceeds 8u max|B|, known only once every row was read; for
+    n < 2, where rows_of gives None, and for entries near overflow, which
+    stop the fold at the first such block.
 
-    Memory: the stack, about n^2/2 entries unless it lives in a, and
-    temporaries of one row block of B, formed as `symmetrize_in_place`
-    forms its own.
+    Memory: the stack, about n^2/2 entries, and three buffers of about
+    2**15 entries, for a row block, its mirror rows and their difference
+    or sum.  They serve every block: temporaries made and freed per
+    block would shrink and regrow glibc's heap, a page fault per 4 KiB.
     """
-    n = a.shape[0]
     if n < 2:
         return None
     m, h = n // 2, (n + 1) // 2
-    # a Python float, so that an overflowing pad is inf without a RuntimeWarning
-    scale = float(max(a.max(), -a.min()))
-    # odd-block entries are at most 2 max|B|, so its Gershgorin discs lie
-    # above -2m max|B|; -1 for B = 0
-    pad = -4.0 * h * scale or -1.0
-    if not math.isfinite(pad):
-        return None
-    bound = 2.0 * _REFLECTION_ODD_TOL * scale
-    flipped = a[::-1, ::-1]
-    pairs = [slice(rows.start, min(rows.stop, m)) for rows in row_blocks(n) if rows.start < m]
+    blocks = np.empty((2, h, h))
+    scale = odd_part = 0.0
+    pairs = row_blocks(m, 2 * n)
+    top_rows, bottom_rows, work_rows = np.empty((3, pairs[0].stop, n))
     for rows in pairs:
-        odd_part = np.subtract(a[rows], flipped[rows])
-        if np.abs(odd_part, out=odd_part).max() > bound:
+        size = rows.stop - rows.start
+        top = rows_of(rows, top_rows[:size])
+        bottom = rows_of(slice(n - rows.stop, n - rows.start), bottom_rows[:size])
+        if top is None or bottom is None:
             return None
-        del odd_part  # so that it is freed before the next block's is made
-    centre = a[m, m]
-    blocks = (a.reshape(-1)[:2 * h * h].reshape(h, 2, h).transpose(1, 0, 2) if in_place
-              else np.empty((2, h, h)))
-    for rows in reversed(pairs):
+        bottom = bottom[::-1, ::-1]
+        scale = max(scale, float(top.max()), float(-top.min()),
+                    float(bottom.max()), float(-bottom.min()))
+        # the pad -4 h max|B| is finite, and so is every sum below
+        if not math.isfinite(4.0 * h * scale):
+            return None
+        work = np.subtract(top, bottom, out=work_rows[:size])
+        odd_part = max(odd_part, float(np.abs(work, out=work).max()))
         # work = 2M on these rows, M = (B + JBJ)/2; the even block is
         # M[r, j] + M[r, n-1-j] and the odd block M[r, j] - M[r, n-1-j]
-        work = np.add(a[rows], flipped[rows])
+        np.add(top, bottom, out=work)
         left, right = work[:, :m], work[:, ::-1][:, :m]
         np.add(left, right, out=blocks[0, rows, :m])
         np.subtract(left, right, out=blocks[1, rows, :m])
+        blocks[:, rows, :m] *= 0.5
         if n % 2:
             np.multiply(work[:, m], _HALF_SQRT2, out=blocks[0, rows, m])
-        del work, left, right  # so that work is freed before the next block's is made
-    blocks[:, :m, :m] *= 0.5
     if n % 2:
+        centre = rows_of(slice(m, m + 1), top_rows[:1])
+        if centre is None:
+            return None
+        scale = max(scale, float(centre.max()), float(-centre.min()))
+        # odd-block entries are at most 2 max|B|, so its Gershgorin discs lie
+        # above -2m max|B|; -1 for B = 0
+        pad = -4.0 * h * scale or -1.0
+        if not math.isfinite(pad):
+            return None
         blocks[0, m, :m] = blocks[0, :m, m]
-        blocks[0, m, m] = centre
+        blocks[0, m, m] = centre[0, m]
         blocks[1, m, :] = blocks[1, :, m] = 0.0
         blocks[1, m, m] = pad
+    if odd_part > 2.0 * _REFLECTION_ODD_TOL * scale:
+        return None
     return blocks
 
 
-def _unfold(values: np.ndarray, halves: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of B from the eigenpairs of its stacked reflection blocks.
+def _reflection_blocks(a: np.ndarray) -> np.ndarray | None:
+    """`_fold_halves` of the square matrix a, which is not changed."""
+    return _fold_halves(lambda rows, out: a[rows], a.shape[0])
+
+
+def _unfolded(values: np.ndarray, halves: np.ndarray, n: int) -> EigenDecomposition:
+    """B's sorted eigenpairs from the eigenpairs of its stacked reflection blocks.
 
     An even-block vector (u, c) becomes (u, sqrt 2 c, Ju)/sqrt 2, an
     odd-block vector w becomes (w, -Jw)/sqrt 2; for odd n the pad's pair,
-    the odd block's first in ascending order, is dropped.  Columns are the
-    even block's, then the odd block's.
+    the odd block's first in ascending order, is dropped.  The pairs are
+    sorted as `_sorted_decomposition` sorts them, with each tie-break row
+    read from the halves, and the vectors are written straight into their
+    sorted columns, row block by row block.
+
+    Memory: the n x n vectors, and temporaries of one row block.
     """
     m, h, odd = n // 2, (n + 1) // 2, n % 2
-    vectors = np.empty((n, n))
-    for cols, block, sign in ((slice(0, h), halves[0], 1.0),
-                              (slice(h, n), halves[1, :, odd:], -1.0)):
-        np.multiply(block[:m], _HALF_SQRT2, out=vectors[:m, cols])
-        np.multiply(block[:m], sign * _HALF_SQRT2, out=vectors[n - m:][::-1, cols])
+    even, odd_block = halves[0], halves[1, :, odd:]
+    values = np.concatenate((values[0], values[1, odd:]))
+    first = np.concatenate((_first_rows_above(even[:m], _HALF_SQRT2),
+                            _first_rows_above(odd_block[:m], _HALF_SQRT2)))
     if odd:
-        vectors[m, :h] = halves[0, m]
-        vectors[m, h:] = 0.0
-    return np.concatenate((values[0], values[1, odd:])), vectors
+        # the centre row, 0 in odd vectors, is c itself in even ones
+        first[:h][(first[:h] < 0) & (np.abs(even[m]) > 1e-12)] = m
+    order = _order(values, first)
+    vectors = np.empty((n, n))
+    mirrored = vectors[n - m:][::-1]
+    for rows in row_blocks(m, n):
+        unsorted = np.concatenate((even[rows], odd_block[rows]), axis=1)
+        unsorted *= _HALF_SQRT2
+        np.take(unsorted, order, axis=1, out=vectors[rows], mode="clip")
+        np.negative(unsorted[:, h:], out=unsorted[:, h:])
+        np.take(unsorted, order, axis=1, out=mirrored[rows], mode="clip")
+    if odd:
+        centre = np.concatenate((even[m], np.zeros(n - h)))
+        np.take(centre, order, out=vectors[m], mode="clip")
+    return _read_only(values[order], vectors)
 
 
 def eigh_eigen(a) -> EigenDecomposition:
     """LAPACK-backed decomposition with the same contract as jacobi_eigen.
 
     Used where problem sizes make O(n^3)-with-large-constant Jacobi sweeps
-    impractical.  A reflection-symmetric matrix (JBJ = B to round-off,
-    J reversing the node order), as the Green and heat-circle kernels give
-    on both grids, is split into its even and odd halves, and one
-    `numpy.linalg.eigh` call decomposes both; any other matrix, such as a
-    tabulated kernel without the symmetry, is decomposed whole.  Jacobi
-    (n <= 160 in `nystrom`) and the whole-matrix LAPACK call stay the
-    oracles tests pin this against.
+    impractical.  a is a matrix or the `Halves` of one.  A
+    reflection-symmetric matrix (JBJ = B to round-off, J reversing the
+    node order), as the Green and heat-circle kernels give on both grids,
+    is split into its even and odd halves, and one `numpy.linalg.eigh`
+    call decomposes both; any other matrix, such as a tabulated kernel
+    without the symmetry, is decomposed whole.  Jacobi (n <= 160 in
+    `nystrom`) and the whole-matrix LAPACK call stay the oracles tests pin
+    this against.
+
+    Memory, in units of 8 n^2 bytes: given the halves (0.5), LAPACK adds
+    its half-size vectors (0.5), workspace (0.5) and copy of one half
+    (0.25).  The halves, unless the caller keeps them, are freed before
+    the n x n vectors (1.0) are made, which receive the unfolded pairs in
+    sorted order with no n x n temporary.
     """
-    sym = _as_sym(a)
-    blocks = _reflection_blocks(sym.entries)
-    if blocks is None:
-        values, vectors = np.linalg.eigh(sym.entries)
-        return _sorted_decomposition(values[::-1], vectors[:, ::-1])
-    values, halves = np.linalg.eigh(blocks)
-    del blocks  # freed before the n x n vectors are made
-    values, vectors = _unfold(values, halves, sym.n)
-    del halves  # freed before the sorting gather
-    return _sorted_decomposition(values, vectors)
+    if not isinstance(a, Halves):
+        sym = _as_sym(a)
+        blocks = _reflection_blocks(sym.entries)
+        if blocks is None:
+            values, vectors = np.linalg.eigh(sym.entries)
+            return _sorted_decomposition(values[::-1], vectors[:, ::-1])
+        a = Halves(blocks, sym.n)
+        del blocks
+    n = a.n
+    values, halves = np.linalg.eigh(a.blocks)
+    del a  # the only reference, unless the caller keeps one
+    return _unfolded(values, halves, n)
 
 
-def _values(a: np.ndarray, n: int) -> np.ndarray:
-    """B's eigenvalues, descending and read-only, from one `eigvalsh` call on a.
+def _values(a: SymMatrix | Halves) -> np.ndarray:
+    """B's eigenvalues, descending and read-only, from one `eigvalsh` call on B or its halves.
 
-    a is B itself, n x n, or the (2, h, h) stack `_reflection_blocks`
-    made of it.  The stack may be a view into B's own buffer, written by
-    the in-place fold after every row was read, so a caller that gives up
-    B holds one n x n buffer while LAPACK copies one half.
+    Given the halves, LAPACK copies one half at a time, so B's
+    eigenvalues cost about 0.75 * 8 n^2 bytes.
     """
-    values = np.linalg.eigvalsh(a)
-    if a.ndim == 3:
-        values = np.sort(np.concatenate((values[0], values[1, n % 2:])))
+    if isinstance(a, Halves):
+        values = np.linalg.eigvalsh(a.blocks)
+        values = np.sort(np.concatenate((values[0], values[1, a.n % 2:])))
+    else:
+        values = np.linalg.eigvalsh(a.entries)
     values = values[::-1]
     values.setflags(write=False)
     return values

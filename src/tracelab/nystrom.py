@@ -16,8 +16,9 @@ import numpy as np
 from .fileio import write_csv
 from .kernels import KernelSpec, diagonal_trace
 from .linalg import (
+    Halves,
     SymMatrix,
-    _reflection_blocks,
+    _fold_halves,
     _values,
     eigh_eigen,
     jacobi_eigen,
@@ -29,36 +30,52 @@ from .quadrature import Grid
 JACOBI_SIZE_LIMIT = 160
 
 
-def discretize(spec: KernelSpec, grid: Grid) -> SymMatrix:
+def discretize(spec: KernelSpec, grid: Grid, *, split: bool = False) -> SymMatrix | Halves:
     """Symmetrized Nystrom matrix B[i,j] = sqrt(w_i) k(x_i, x_j) sqrt(w_j).
 
     Every built-in kernel matrix, and a tabulated kernel's symmetrized
     table, equals its transpose bit for bit, and s_i s_j = s_j s_i, so B
     is exactly symmetric as weighted and is adopted without a second
-    symmetrizing pass.
+    symmetrizing pass.  The kernel is sampled by row blocks of about 2**16
+    entries (see `KernelSpec.sampler`), each checked and weighted as it
+    is read.
 
-    Memory: one n x n float64 buffer per call.  The kernel matrix is
-    checked and weighted in place by row blocks of about 2**16 entries;
-    only a tabulated kernel's read-only table is copied first.  The
-    eigenvalue checks write B's even and odd halves, N^2/2 entries, into
-    B's own buffer, and LAPACK copies one half, N^2/4 entries, so
-    `trace-check --n N` peaks near the interpreter's base plus
-    1.25 * 8 N^2 bytes: 129 MiB at N = 3201 (149 MiB with the halves in a
-    second array).
+    split=True returns B's even and odd reflection halves instead, where
+    B has that symmetry, as the Green and heat-circle kernels have on
+    both grids: each row block and its mirror rows are sampled, weighted
+    and folded straight into the (2, h, h) stack, bit for bit the stack
+    `linalg._reflection_blocks` folds from B, so B is never made.  Where
+    the check of `linalg._fold_halves` fails, as for a table without the
+    symmetry, B is returned whole; a kernel value that is not finite is
+    refused as without split.
+
+    Memory: B, one n x n float64 buffer, or the halves, half of that, and
+    buffers of a few row blocks; a tabulated kernel's read-only table is
+    read in place.  `trace-check --n N` holds the halves and LAPACK's
+    copy of one of them, and peaks near the interpreter's base plus
+    0.75 * 8 N^2 bytes: 90 MiB at N = 3201.
     """
-    kmat = spec.matrix(grid)
-    if not kmat.flags.writeable:
-        kmat = kmat.copy()
-    s = np.sqrt(grid.weights)
+    sample, s = spec.sampler(grid), np.sqrt(grid.weights)
+    if split:
+        def weighted(rows, out):
+            block = sample(rows, out)
+            if not np.isfinite(block).all():
+                return None  # named below, in row-major order
+            return np.multiply(block, np.multiply.outer(s[rows], s), out=out)
+
+        blocks = _fold_halves(weighted, grid.n)
+        if blocks is not None:
+            return Halves(blocks, grid.n)
+    b = np.empty((grid.n, grid.n))
     for rows in row_blocks(grid.n):
-        block = kmat[rows]
+        block = sample(rows, b[rows])
         if not np.isfinite(block).all():
             i, j = np.argwhere(~np.isfinite(block))[0]
             x, y = grid.nodes[rows.start + i], grid.nodes[j]
             raise ValueError(f"kernel value is not finite at nodes "
                              f"({float(x)!r}, {float(y)!r})")
-        block *= np.multiply.outer(s[rows], s)
-    return SymMatrix._from_buffer(kmat)
+        np.multiply(block, np.multiply.outer(s[rows], s), out=b[rows])
+    return SymMatrix._from_buffer(b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,8 +104,11 @@ def operator_spectrum(spec: KernelSpec, grid: Grid, count: int) -> OperatorSpect
     """
     if count < 1 or count > grid.n:
         raise ValueError(f"count must be in [1, {grid.n}], got {count}")
-    matrix = discretize(spec, grid)
-    decomposition = (jacobi_eigen if grid.n <= JACOBI_SIZE_LIMIT else eigh_eigen)(matrix)
+    if grid.n <= JACOBI_SIZE_LIMIT:
+        decomposition = jacobi_eigen(discretize(spec, grid))
+    else:
+        # no name here holds the halves, so eigh_eigen frees them before it unfolds
+        decomposition = eigh_eigen(discretize(spec, grid, split=True))
     order = np.argsort(-np.abs(decomposition.values), kind="stable")[:count]
     values = decomposition.values[order]
     functions = decomposition.vectors[:, order].T / np.sqrt(grid.weights)
@@ -109,24 +129,14 @@ class TraceFormulaReport:
 def _eigenvalues(spec: KernelSpec, grid: Grid, *, jacobi: bool) -> np.ndarray:
     """All eigenvalues of discretize(spec, grid), sorted descending and read-only.
 
-    jacobi=True runs Jacobi values-only.  Otherwise one LAPACK call: a
-    reflection-symmetric B (the Green and heat-circle kernels on either
-    grid) is split into its even and odd halves as `linalg.eigh_eigen`
-    splits it, but the halves are written into B's own buffer, so B and
-    the halves are never held at once.  That is safe because this
-    function holds the only reference to B, and the fold writes each row
-    only after reading every row it overwrites (see
-    `linalg._reflection_blocks`).  Any other B, such as an asymmetric
-    tabulated kernel, goes to LAPACK whole and unchanged.
+    jacobi=True runs Jacobi values-only on B.  Otherwise one LAPACK call:
+    on the even and odd halves of a reflection-symmetric B (the Green and
+    heat-circle kernels on either grid), sampled without B, and on any
+    other B, such as an asymmetric tabulated kernel, whole and unchanged.
     """
-    matrix = discretize(spec, grid)
     if jacobi:
-        return jacobi_eigen(matrix, values_only=True)
-    b = matrix.entries
-    del matrix  # B is given up: its buffer may hold the halves
-    b.setflags(write=True)
-    halves = _reflection_blocks(b, in_place=True)
-    return _values(b if halves is None else halves, grid.n)
+        return jacobi_eigen(discretize(spec, grid), values_only=True)
+    return _values(discretize(spec, grid, split=True))
 
 
 def trace_formula_check(spec: KernelSpec, grid: Grid) -> TraceFormulaReport:

@@ -363,7 +363,8 @@ def test_process_runs_match_in_process_runs(capsys, tmp_path, write_kernel_csv):
 def test_ignoring_indefiniteness_discretizes_once(capsys, monkeypatch):
     calls = []
     discretize = nystrom.discretize
-    monkeypatch.setattr(nystrom, "discretize", lambda *a: calls.append(a) or discretize(*a))
+    monkeypatch.setattr(nystrom, "discretize",
+                        lambda *a, **k: calls.append(a) or discretize(*a, **k))
     for mode, expected in (("ignore", 1), ("warn", 2)):
         calls.clear()
         code, _, _ = run(capsys, "trace-check", "--n", "41", "--indefinite", mode)
@@ -388,16 +389,29 @@ def test_tabulated_kernel_above_half_the_float_range_runs(capsys, tmp_path, valu
         assert abs(float(out.split("lambda1=")[1]) - value) <= 1e-14 * value
 
 
-def test_trace_check_peaks_at_b_and_one_lapack_half(cli_peak_rss):
-    # B, 8 n^2 bytes, holds its own even and odd halves, and LAPACK copies
-    # one half, 0.25 of it; a separate stack of the halves would add 0.5.
-    # tracemalloc sees neither LAPACK's copy nor the process, so this reads
-    # the process's own peak above that of a run at n = 3.
+def test_trace_check_peaks_at_the_halves_and_one_lapack_half(cli_peak_rss):
+    # the halves, 0.5 of 8 n^2 bytes, sampled without B, and LAPACK's copy
+    # of one half, 0.25; B would add 1.0.  tracemalloc sees neither
+    # LAPACK's copy nor the process, so this reads the process's own peak
+    # above that of a run at n = 3.
     n = 1601
     base_status, base = cli_peak_rss("trace-check", "--n", "3")
     status, peak = cli_peak_rss("trace-check", "--n", str(n))
     assert base_status == status == 0
-    assert (peak - base) * 1024 < 1.4 * 8 * n**2
+    assert (peak - base) * 1024 < 1.0 * 8 * n**2
+
+
+def test_spectrum_peaks_below_three_matrices(cli_peak_rss):
+    # the halves, LAPACK's half-size vectors, copy and workspace, then the
+    # n x n vectors unfolded from the half-size ones, each of these after
+    # the indefiniteness check's own halves were freed: about 1.75 of
+    # 8 n^2 bytes, and 2.4 read here with what glibc's heap keeps.  B, an
+    # n x n tie-break temporary or a sorting gather would add 1.0 each.
+    n = 1601
+    base_status, base = cli_peak_rss("spectrum", "--n", "3", "--count", "1")
+    status, peak = cli_peak_rss("spectrum", "--n", str(n), "--count", "10")
+    assert base_status == status == 0
+    assert (peak - base) * 1024 < 2.7 * 8 * n**2
 
 
 def test_spectrum_signs_do_not_depend_on_the_blas_thread_count(tmp_path):
@@ -573,12 +587,14 @@ NAMED_IN_ERROR = {
     "trace-check --kernel {tmp}/header-only.csv": "header-only.csv has no data rows",
     "trace-check --kernel {tmp}/ragged.csv": "ragged.csv: the number of columns changed "
                                               "from 4 to 3 at row 2",
-    "trace-check --kernel {tmp}/text-cell.csv": "text-cell.csv: could not convert string 'x'",
+    "trace-check --kernel {tmp}/text-cell.csv": "text-cell.csv: could not convert string 'x' "
+                                                 "to float at row 2, column 4",
     "trace-check --kernel {tmp}/mislabelled.csv": "mislabelled.csv: row 2 is not labelled "
                                                    "with its node",
     "trace-check --kernel {tmp}/midpoint-labels.csv": "midpoint-labels.csv: row 1 is not "
                                                        "labelled with its node",
-    "trace-check --kernel {tmp}/comment.csv": "could not convert string '4 # note'",
+    "trace-check --kernel {tmp}/comment.csv": "could not convert string '4 # note' to float "
+                                               "at row 2, column 4",
     "billiard --shape disc --radius 1e200": "radius=1e+200",
     "length-spectrum --b 5e-324": "b=5e-324",
     "length-spectrum --a 5e-324": "a=5e-324",

@@ -104,6 +104,21 @@ def test_write_csv_refuses_columns_of_unequal_lengths(tmp_path):
         write_csv(tmp_path / "r.csv", ("a", "b"), ([1.0, 2.0], range(3)))
 
 
+@pytest.mark.parametrize("body, fault", [
+    ("0,1,2\n1,2,3,4\n", "the number of columns changed from 3 to 4 at row 2"),
+    ("\n0,1,2\n\n1,2,x\n", "could not convert string 'x' to float at row 2, column 3"),
+    ('0,1,2\n"1",2,"3 4"\n', "could not convert string '3 4' to float at row 2, column 3"),
+    # a cell float() reads and numpy does not
+    ("0,1,2\n1,2,1_0\n", "the rows below the header are not a table of numbers"),
+], ids=["ragged", "blank-lines", "quoted", "underscore"])
+def test_read_csv_names_the_first_fault_counting_data_rows_from_one(tmp_path, body, fault):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b,c\n" + body)
+    with pytest.raises(ValueError) as info:
+        read_csv(path)
+    assert str(info.value) == f"{path}: {fault}"
+
+
 def test_read_csv_parses_each_cell_as_float_did(tmp_path):
     # awkward values: subnormal, the largest float, negative zero, 17 digits
     values = np.random.default_rng(5).standard_normal((6, 7)) * 1e-3

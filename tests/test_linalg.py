@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tracelab import linalg
 from tracelab.linalg import (
     EigenDecomposition,
     NumericalError,
@@ -145,6 +146,65 @@ def test_tie_break_deterministic():
     assert np.array_equal(np.abs(d.vectors), expected)
     again = jacobi_eigen(np.eye(4))
     assert np.array_equal(d.vectors, again.vectors)
+
+
+def sorted_decomposition(values, vectors):
+    """The sort eigh_eigen ran on the whole unfolded eigenvectors, kept as the oracle.
+
+    Ties broken by descending first-nonzero component index; an all-zero
+    column counts as 0.
+    """
+    tiebreak = (-(np.abs(vectors) > 1e-12).argmax(axis=0) if vectors.size
+                else np.zeros(0, dtype=int))
+    order = np.lexsort((tiebreak, -values))
+    return values[order], vectors[:, order]
+
+
+def unfold(values, halves, n):
+    """B's eigenpairs from those of its reflection blocks, even block's columns first."""
+    m, h, odd = n // 2, (n + 1) // 2, n % 2
+    vectors = np.empty((n, n))
+    for cols, block, sign in ((slice(0, h), halves[0], 1.0),
+                              (slice(h, n), halves[1, :, odd:], -1.0)):
+        np.multiply(block[:m], math.sqrt(0.5), out=vectors[:m, cols])
+        np.multiply(block[:m], sign * math.sqrt(0.5), out=vectors[n - m:][::-1, cols])
+    if odd:
+        vectors[m, :h] = halves[0, m]
+        vectors[m, h:] = 0.0
+    return np.concatenate((values[0], values[1, odd:])), vectors
+
+
+def tied_matrices():
+    pair = np.array([[2.0, 1.0], [1.0, 2.0]])
+    rng = np.random.default_rng(8)
+    for n in (2, 3, 6, 7, 40, 41):
+        yield f"zeros-{n}", np.zeros((n, n))
+        yield f"identity-{n}", np.eye(n)
+        # 1, 2, 1, 2, ...: reflection-symmetric for odd n only
+        yield f"repeated-diagonal-{n}", np.diag(np.tile([1.0, 2.0], n)[:n])
+        if n % 2 == 0:
+            yield f"repeated-pairs-{n}", np.kron(np.eye(n // 2), pair)
+        a = rng.uniform(-1.0, 1.0, (n, n))
+        a = a + a.T
+        yield f"random-reflection-symmetric-{n}", a + a[::-1, ::-1]
+
+
+@pytest.mark.parametrize("name, a", list(tied_matrices()))
+def test_eigh_eigen_orders_ties_as_the_whole_sort_did(name, a):
+    # the sort before: unfold the halves' eigenpairs into n x n vectors,
+    # then break ties on the whole of them; a matrix without the symmetry
+    # went to LAPACK whole, as it still does
+    n = len(a)
+    blocks = linalg._reflection_blocks(a)
+    if blocks is None:
+        values, vectors = np.linalg.eigh(a)
+        expected = sorted_decomposition(values[::-1], vectors[:, ::-1])
+    else:
+        expected = sorted_decomposition(*unfold(*np.linalg.eigh(blocks), n))
+    d = eigh_eigen(a)
+    assert d.values.tobytes() == expected[0].tobytes()
+    assert d.vectors.tobytes() == expected[1].tobytes()
+    assert not d.values.flags.writeable and not d.vectors.flags.writeable
 
 
 def test_symmetrization_reports_asymmetry():

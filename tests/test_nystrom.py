@@ -79,8 +79,11 @@ def test_eigh_decomposition_gathers_once():
     finally:
         tracemalloc.stop()
     assert d.vectors.shape == (n, n)
-    # LAPACK's eigenvectors plus the one sorting gather, and small temporaries
-    assert peak < 2.5 * 8 * n**2
+    # LAPACK's half-size eigenvectors, 0.5, and the n x n vectors they are
+    # unfolded into, in sorted order, with row-block temporaries; the halves
+    # of B are freed before.  An n x n tie-break or gather temporary would
+    # add 1.0
+    assert peak < 1.8 * 8 * n**2
 
 
 def test_split_eigenvalues_make_no_full_size_temporary():
@@ -93,52 +96,62 @@ def test_split_eigenvalues_make_no_full_size_temporary():
         finally:
             tracemalloc.stop()
         assert values.shape == (n,)
-        # B, which the halves are written into, and one row block's
-        # temporaries; a separate stack of the halves would add 0.5, an
-        # n x n temporary 1.0.  At even n a row stride other than n would
-        # make numpy copy the whole stack on its in-place halving.
-        assert peak < 1.2 * 8 * n**2, n
+        # the halves, sampled without B, and the fold's row-block buffers;
+        # B itself would add 1.0
+        assert peak < 0.8 * 8 * n**2, n
 
 
 @pytest.mark.parametrize("check", ["trace_formula_check", "indefiniteness"])
 def test_lapack_gets_the_halves_in_the_discretized_buffer(monkeypatch, check):
     n = 801
     g = make_grid(TRAPEZOID, n)
-    buffers, received = [], []
+    results, received = [], []
     eigvalsh, discretized = np.linalg.eigvalsh, nystrom.discretize
 
-    def recording_discretize(spec, grid):
-        matrix = discretized(spec, grid)
-        buffers.append(matrix.entries)
-        return matrix
+    def recording_discretize(spec, grid, **options):
+        result = discretized(spec, grid, **options)
+        results.append(result)
+        return result
 
     def recording(a):
-        received.append((a.shape, np.shares_memory(a, buffers[-1])))
+        received.append((a.shape, a is results[-1].blocks))
         return eigvalsh(a)
 
     monkeypatch.setattr(nystrom, "discretize", recording_discretize)
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-    if check == "trace_formula_check":
-        assert trace_formula_check(green_dirichlet(), g).residual < 1e-12
-    else:
-        cli._indefiniteness(green_dirichlet(), g, "fail")
+    tracemalloc.start()
+    try:
+        if check == "trace_formula_check":
+            assert trace_formula_check(green_dirichlet(), g).residual < 1e-12
+        else:
+            cli._indefiniteness(green_dirichlet(), g, "fail")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert received == [((2, 401, 401), True)]
+    # no n x n float64 array, 8 n^2 bytes, was made
+    assert peak < 8 * n**2
 
 
 @pytest.mark.parametrize("n", [600, 601])
 @pytest.mark.parametrize("block", [0, -1], ids=["outermost", "last before the centre"])
-def test_matrix_without_the_symmetry_reaches_lapack_unchanged(n, block):
+def test_matrix_without_the_symmetry_reaches_lapack_unchanged(monkeypatch, n, block):
     # a Green table, even under x -> 1 - x except in one row block before
-    # the centre: in the last one the check fails after every other block
-    # passed it, so the halves must not be written before the whole check
+    # the centre, the first or the last one the fold samples: the check
+    # must see every block, and the whole B, discretized once, must reach
+    # LAPACK as it would without the split
     g = make_grid(TRAPEZOID, n)
-    rows = [r for r in row_blocks(n) if r.start < n // 2][block]
+    rows = row_blocks(n // 2, 2 * n)[block]  # as linalg._fold_halves reads them
     table = green_dirichlet().matrix(g)
-    i, j = rows.start, min(rows.stop, n // 2) - 1
+    i, j = rows.start, rows.stop - 1
     table[i, j] = table[j, i] = table[i, j] + 1e-3
     spec = tabulated(table, g)
     whole = np.linalg.eigvalsh(discretize(spec, g).entries)[::-1]
+    calls, discretized = [], nystrom.discretize
+    monkeypatch.setattr(nystrom, "discretize",
+                        lambda *a, **k: calls.append(k) or discretized(*a, **k))
     assert _eigenvalues(spec, g, jacobi=False).tobytes() == whole.tobytes()
+    assert calls == [{"split": True}]
 
 
 def parity_sums(n):

@@ -360,6 +360,8 @@ def test_reflection_split_only_where_the_matrix_has_the_symmetry(n, midpoint, se
     table = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, n))
     spec = kernels.tabulated(table + table.T, g)
     b = nystrom.discretize(spec, g)
+    whole = nystrom.discretize(spec, g, split=True)
+    assert isinstance(whole, SymMatrix) and same_bits(whole.entries, b.entries)
     values, d, shapes = split_solves(spec, g)
     assert shapes == [(n, n)] * 2
     assert same_bits(values, np.linalg.eigvalsh(b.entries)[::-1].copy())
@@ -374,25 +376,28 @@ def test_reflection_split_only_where_the_matrix_has_the_symmetry(n, midpoint, se
 
 @PROPERTY
 @given(n=st.integers(min_value=2, max_value=400), midpoint=st.booleans(),
-       heat=st.booleans(), t=st.floats(min_value=1e-4, max_value=5.0))
-@example(n=2, midpoint=False, heat=False, t=1.0)
-@example(n=3, midpoint=False, heat=False, t=1.0)
-@example(n=399, midpoint=False, heat=False, t=1.0)  # two row blocks before the centre
-@example(n=399, midpoint=True, heat=True, t=0.01)
-def test_halves_folded_into_b_are_the_new_stack_bit_for_bit(n, midpoint, heat, t):
+       kind=st.sampled_from(["green", "heat-circle", "table"]),
+       t=st.floats(min_value=1e-4, max_value=5.0), seed=SEEDS)
+@example(n=2, midpoint=False, kind="green", t=1.0, seed=0)
+@example(n=3, midpoint=False, kind="green", t=1.0, seed=0)
+# several row blocks before the centre
+@example(n=399, midpoint=False, kind="green", t=1.0, seed=0)
+@example(n=399, midpoint=True, kind="heat-circle", t=0.01, seed=0)
+def test_sampled_halves_are_the_halves_folded_from_b_bit_for_bit(n, midpoint, kind, t, seed):
     g = make_grid(MIDPOINT if midpoint else TRAPEZOID, n)
-    if heat:
+    if kind == "heat-circle":
         assume(math.sqrt(2.0 * t) >= g.spacing)
         spec = kernels.heat_circle(t)
-    else:
+    elif kind == "green":
         spec = kernels.green_dirichlet()
-    b = nystrom.discretize(spec, g).entries
-    stack = linalg._reflection_blocks(b)
-    buffer = b.copy()
-    folded = linalg._reflection_blocks(buffer, in_place=True)
-    assert np.shares_memory(folded, buffer) and not np.shares_memory(stack, b)
-    assert same_bits(folded, stack)
-    assert same_bits(nystrom._eigenvalues(spec, g, jacobi=False), linalg._values(stack, n))
+    else:  # a table even under x -> 1 - x
+        table = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, n))
+        table = table + table.T
+        spec = kernels.tabulated(table + table[::-1, ::-1], g)
+    halves = nystrom.discretize(spec, g, split=True)
+    assert isinstance(halves, linalg.Halves) and halves.n == n
+    assert same_bits(halves.blocks, linalg._reflection_blocks(nystrom.discretize(spec, g).entries))
+    assert same_bits(nystrom._eigenvalues(spec, g, jacobi=False), linalg._values(halves))
 
 
 def reference_kernel(spec, grid):
