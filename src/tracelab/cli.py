@@ -13,7 +13,12 @@ table.  `main` does all printing and writing.
 
 Each handler imports the modules it uses when it runs, so a run loads
 only its own command's modules; the names stay module attributes, looked
-up at call time.
+up at call time.  This module itself loads numpy and no other tracelab
+module.
+
+`trace-check` and `spectrum` check the kernel for negative eigenvalues
+after their own solve (`_indefiniteness`), so `--indefinite fail` refuses
+a kernel only once the solve has run.
 """
 
 from __future__ import annotations
@@ -38,13 +43,17 @@ from pathlib import Path
 _BLAS_SPIN_TIMEOUT = "20"
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", _BLAS_SPIN_TIMEOUT)
+# A CLI process keeps nearly all it imports until it exits, so collecting
+# while it imports costs CPU and frees little: numpy's import alone ran
+# about 29 collections, which freed about 0.35 MiB.  The collector is
+# switched back on before `main` (see the end of this module); an
+# importer's collector is left alone.
+if __name__ == "__main__":
+    gc.disable()
 
 import numpy as np  # noqa: E402
 
-from .linalg import NumericalError  # noqa: E402
-from .quadrature import MIDPOINT, TRAPEZOID, make_grid  # noqa: E402
-
-_GRID_NAMES = {"trapezoid": TRAPEZOID, "midpoint": MIDPOINT}
+_GRID_NAMES = ("trapezoid", "midpoint")
 # argparse reads a token as a negative number, not an option, only when it
 # matches ^-\d+$|^-\d*\.\d+$, so "-1e-3" was taken for an option; any token
 # that starts like a negative number is one here
@@ -83,11 +92,14 @@ def _parse_floats(text: str) -> list[float]:
     return [finite(part) for part in text.split(",") if part]
 
 
-def _grid(kind: str, n: int, per_node: int = 1, cap: int = _MAX_SAMPLES):
-    """make_grid(kind, n), refused when its sample of per_node values a node passes cap."""
+def _grid(name: str, n: int, per_node: int = 1, cap: int = _MAX_SAMPLES):
+    """The `name` grid of n nodes, refused when its sample of per_node values a node passes cap."""
+    from . import quadrature
+
     if n * max(per_node, 1) > cap:
         raise ValueError(f"n={n} needs {n * per_node:.4g} sampled values; the cap is {cap:.4g}")
-    return make_grid(kind, n)
+    kind = {"trapezoid": quadrature.TRAPEZOID, "midpoint": quadrature.MIDPOINT}[name]
+    return quadrature.make_grid(kind, n)
 
 
 def _indefiniteness(spec, grid, mode: str) -> None:
@@ -98,6 +110,12 @@ def _indefiniteness(spec, grid, mode: str) -> None:
     heat-circle kernels) and on any other, such as an asymmetric
     tabulated kernel, whole; see `nystrom._eigenvalues`.  `ignore`
     neither discretizes nor decomposes.
+
+    `trace-check` and `spectrum` call it after their own solve, so `fail`
+    costs the solve.  In that order the check's halves are sampled after
+    the solve has freed its own: glibc's heap, which keeps the pages of a
+    freed block that size, no longer holds a half-matrix under
+    `spectrum`'s n x n eigenvectors.
     """
     if mode == "ignore":
         return
@@ -114,7 +132,7 @@ def _indefiniteness(spec, grid, mode: str) -> None:
 
 
 def _kernel_and_grid(args):
-    """The kernel named by --kernel and its grid, checked for indefiniteness."""
+    """The kernel named by --kernel and its grid."""
     from . import kernels
 
     if args.kernel == "green":
@@ -127,8 +145,7 @@ def _kernel_and_grid(args):
         raise ValueError(f"unknown kernel {args.kernel!r} "
                          "(green, heat-circle, or a .csv path)")
     grid = spec.grid if spec.kind == kernels.TABULATED else \
-        _grid(_GRID_NAMES[args.grid], args.n, per_node=args.n, cap=_MAX_MATRIX)
-    _indefiniteness(spec, grid, args.indefinite)
+        _grid(args.grid, args.n, per_node=args.n, cap=_MAX_MATRIX)
     return spec, grid
 
 
@@ -137,6 +154,7 @@ def _cmd_trace_check(args):
 
     spec, grid = _kernel_and_grid(args)
     report = nystrom.trace_formula_check(spec, grid)
+    _indefiniteness(spec, grid, args.indefinite)
     return (f"trace-check kernel={args.kernel} n={grid.n}: "
             f"eig_sum={report.eig_sum!r} diag_integral={report.diag_integral!r} "
             f"residual={report.residual:.3e}", asdict(report), None)
@@ -147,6 +165,7 @@ def _cmd_spectrum(args):
 
     spec, grid = _kernel_and_grid(args)
     spectrum = nystrom.operator_spectrum(spec, grid, args.count)
+    _indefiniteness(spec, grid, args.indefinite)
     analytic = None
     headline = f"lambda1={float(spectrum.eigenvalues[0])!r}"
     if args.kernel == "green":
@@ -186,7 +205,7 @@ def _cmd_bvp_compare(args):
 
     if args.trials < 1:
         raise ValueError(f"bvp-compare needs at least one trial, got {args.trials}")
-    grid = _grid(TRAPEZOID, args.n, per_node=30)  # the 30 modes of each f
+    grid = _grid("trapezoid", args.n, per_node=30)  # the 30 modes of each f
     work = args.trials * (30 * args.n + args.kmax)
     if work > _MAX_TRIAL_WORK:
         raise ValueError(f"trials={args.trials} at n={args.n} and k_max={args.kmax} need "
@@ -221,7 +240,7 @@ def _cmd_theta(args):
 def _cmd_heat_compare(args):
     from . import fileio, heat, kernels
 
-    grid = _grid(MIDPOINT, args.n, per_node=2 * args.modes + 1)
+    grid = _grid("midpoint", args.n, per_node=2 * args.modes + 1)
     l_max = kernels.heat_circle(args.t, l_max=args.lmax).l_max
     gaussians = args.n * (2 * l_max + 1)
     if gaussians > _MAX_GAUSSIANS:
@@ -244,7 +263,7 @@ def _cmd_heat_trace(args):
     ts = _parse_floats(args.t)
     if not ts:
         raise ValueError("heat-trace needs at least one t value")
-    grid = _grid(MIDPOINT, args.n)
+    grid = _grid("midpoint", args.n)
     reports = [heat.heat_trace_check(t, grid) for t in ts]
     worst = max(r.residual for r in reports)
     return (f"heat-trace t={args.t} n={args.n}: max_residual={worst:.3e}",
@@ -346,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kernel", default="green")
         p.add_argument("--t", type=finite, default=0.5, help="time for heat kernels")
         p.add_argument("--n", type=int, default=n)
-        p.add_argument("--grid", choices=tuple(_GRID_NAMES), default="trapezoid")
+        p.add_argument("--grid", choices=_GRID_NAMES, default="trapezoid")
 
     def table_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--shape", choices=("rectangle", "disc"), default="rectangle")
@@ -477,19 +496,25 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 1
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
+    except RuntimeError as exc:
+        # imported here, so that a command that never loads linalg does not
+        # load it for this clause; only a loaded linalg can raise it
+        from .linalg import NumericalError
+
+        if not isinstance(exc, NumericalError):
+            raise
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 
 
 if __name__ == "__main__":
     # Everything imported so far, numpy's ~20 000 objects among them, lives
     # as long as the process: frozen, the run's collections and the
-    # interpreter's shutdown no longer scan it.  Only a process that runs
-    # this module as __main__ does this; an importer's collector is left alone.
-    gc.collect()
+    # interpreter's shutdown no longer scan it, and no collection runs
+    # first: the collector has been off since the imports began.
     gc.freeze()
+    gc.enable()
     sys.exit(main())

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
+from itertools import repeat
 
 import numpy as np
 
@@ -18,6 +19,9 @@ import numpy as np
 # 10**6 rows traces an 8 MiB peak in blocks of 2**16 rows, where the whole
 # columns as Python floats would hold 120 MiB
 _BLOCK_ROWS = 2**16
+# numpy kinds whose Python values the csv module writes as their repr (bool,
+# int, unsigned, float), none of which needs quoting
+_NUMERIC_KINDS = "biuf"
 
 
 def write_csv(path, header, columns) -> None:
@@ -27,10 +31,14 @@ def write_csv(path, header, columns) -> None:
     columns; a column is a numpy array, list, tuple or range of one type.
     Each block of _BLOCK_ROWS rows of a column is read as one numpy array
     and converted with one `tolist`, so numpy scalars, and lists of them,
-    reach the csv module as Python floats, ints, bools and strs, and no
-    more than one block is held as Python objects.  The csv module writes
-    each float as its repr, the shortest text that reads back to the same
-    float, so a rerun writes the same bytes.
+    become Python floats, ints, bools and strs, and no more than one block
+    is held as Python objects.  Each cell is written as the csv module
+    writes it: a float as its repr, the shortest text that reads back to
+    the same float, so a rerun writes the same bytes.  A block of numbers
+    alone is joined row by row from the reprs, with the csv module's
+    "\r\n" line ending, which is its text without its per-cell path; a
+    block with a string or None cell goes through the csv module, which
+    quotes and writes None as an empty cell.
     """
     lengths = {len(column) for column in columns}
     if len(lengths) > 1:
@@ -40,8 +48,18 @@ def write_csv(path, header, columns) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for start in range(0, rows, _BLOCK_ROWS):
-            writer.writerows(zip(*[np.asarray(column[start:start + _BLOCK_ROWS]).tolist()
-                                   for column in columns]))
+            _write_block(fh, writer, [np.asarray(column[start:start + _BLOCK_ROWS])
+                                      for column in columns])
+
+
+def _write_block(fh, writer, blocks) -> None:
+    """Write the rows of a block of columns, each a numpy array; a call holds one block."""
+    cells = [block.tolist() for block in blocks]
+    if all(block.dtype.kind in _NUMERIC_KINDS for block in blocks):
+        lines = map(",".join, zip(*(map(repr, column) for column in cells)))
+        fh.writelines(map(str.__add__, lines, repeat("\r\n")))
+    else:
+        writer.writerows(zip(*cells))
 
 
 def read_csv(path):

@@ -298,7 +298,7 @@ def test_a_command_loads_only_its_own_modules():
             "print(' '.join(m for m in sys.modules if m.startswith('tracelab.')))")
     for argv, used, unused in (
         (["basel", "--kmax", "10"], "mercer", {"billiard", "nystrom", "heat", "wavetrace"}),
-        (["billiard"], "billiard", {"kernels", "nystrom", "mercer"}),
+        (["billiard"], "billiard", {"kernels", "nystrom", "mercer", "linalg", "quadrature"}),
     ):
         loaded = set(_fresh_python(code.format(argv)).splitlines()[-1].split())
         assert f"tracelab.{used}" in loaded
@@ -371,6 +371,71 @@ def test_ignoring_indefiniteness_discretizes_once(capsys, monkeypatch):
         assert code == 0 and len(calls) == expected
 
 
+@pytest.mark.parametrize("argv, calls", [
+    (["trace-check", "--n", "41"], ["trace_formula_check", "_values"]),
+    (["trace-check", "--n", "201"], ["_values", "trace_formula_check", "_values"]),
+    (["spectrum", "--n", "201", "--count", "3"], ["operator_spectrum", "_values"]),
+])
+def test_the_indefiniteness_check_runs_after_the_solve(capsys, monkeypatch, argv, calls):
+    # each name is recorded when its call returns; the check's eigenvalues
+    # come from nystrom._values, as does trace-check's sum above n = 160
+    recorded = []
+
+    def recording(name):
+        original = getattr(nystrom, name)
+
+        def record(*args, **kwargs):
+            result = original(*args, **kwargs)
+            recorded.append(name)
+            return result
+        monkeypatch.setattr(nystrom, name, record)
+
+    for name in ("_values", "trace_formula_check", "operator_spectrum"):
+        recording(name)
+    code, _, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert recorded == calls
+
+
+def test_a_numerical_error_exits_1_and_any_other_runtime_error_propagates(capsys,
+                                                                         monkeypatch):
+    from tracelab.linalg import NumericalError
+
+    def raising(error):
+        def solve(*args):
+            raise error
+        return solve
+
+    monkeypatch.setattr(nystrom, "trace_formula_check", raising(NumericalError("no convergence")))
+    assert run(capsys, "trace-check", "--n", "41") == \
+        (1, "", "numerical failure: no convergence\n")
+    monkeypatch.setattr(nystrom, "trace_formula_check", raising(RuntimeError("bug")))
+    with pytest.raises(RuntimeError, match="bug"):
+        main(["trace-check", "--n", "41"])
+
+
+@pytest.mark.parametrize("command", [["trace-check"], ["spectrum", "--count", "2"]])
+def test_an_indefinite_table_warns_or_fails_with_one_line(capsys, tmp_path, command,
+                                                          write_kernel_csv):
+    # k(x, y) = a(x) + a(y) with a = x - 1/2 has rank two and eigenvalues
+    # of both signs
+    g = make_grid(TRAPEZOID, 9)
+    path = write_kernel_csv(kernels.tabulated(np.add.outer(g.nodes, g.nodes) - 1.0, g))
+    spec = kernels.kernel_from_csv(path)
+    smallest = np.linalg.eigvalsh(nystrom.discretize(spec, spec.grid).entries).min()
+    message = f"kernel is indefinite: smallest discrete eigenvalue {smallest:.3e}"
+    assert smallest < -1e-3
+    out_path = tmp_path / "out.csv"
+    argv = [*command, "--kernel", str(path), "--out", str(out_path)]
+    code, out, err = run(capsys, *argv, "--indefinite", "fail")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not out_path.exists()
+    code, out, err = run(capsys, *argv, "--indefinite", "warn")
+    assert code == 0 and out.startswith(command[0])
+    assert err == f"warning: {message}\n"
+    assert out_path.exists()
+
+
 @pytest.mark.parametrize("value", [1e308, 1.5e308])
 def test_tabulated_kernel_above_half_the_float_range_runs(capsys, tmp_path, value,
                                                           write_kernel_csv):
@@ -403,15 +468,16 @@ def test_trace_check_peaks_at_the_halves_and_one_lapack_half(cli_peak_rss):
 
 def test_spectrum_peaks_below_three_matrices(cli_peak_rss):
     # the halves, LAPACK's half-size vectors, copy and workspace, then the
-    # n x n vectors unfolded from the half-size ones, each of these after
-    # the indefiniteness check's own halves were freed: about 1.75 of
-    # 8 n^2 bytes, and 2.4 read here with what glibc's heap keeps.  B, an
-    # n x n tie-break temporary or a sorting gather would add 1.0 each.
+    # n x n vectors unfolded from the half-size ones: about 1.75 of 8 n^2
+    # bytes, and 1.9 read here.  The indefiniteness check runs after the
+    # solve; run before it, it left glibc's heap holding the pages of its
+    # freed halves under the n x n vectors, and 2.4 was read.  B, an n x n
+    # tie-break temporary or a sorting gather would add 1.0 each.
     n = 1601
     base_status, base = cli_peak_rss("spectrum", "--n", "3", "--count", "1")
     status, peak = cli_peak_rss("spectrum", "--n", str(n), "--count", "10")
     assert base_status == status == 0
-    assert (peak - base) * 1024 < 2.7 * 8 * n**2
+    assert (peak - base) * 1024 < 2.1 * 8 * n**2
 
 
 def test_spectrum_signs_do_not_depend_on_the_blas_thread_count(tmp_path):

@@ -57,19 +57,32 @@ FLOATS = [5e-324, -0.0, math.nan, math.inf, -math.inf, 1e16, 1e-5, 0.1 + 0.2,
 @pytest.mark.parametrize("kind", ["float", "float64-array", "float64-list", "float32-array"])
 def test_write_csv_writes_the_bytes_of_the_cell_by_cell_writer(tmp_path, write_csv_by_cell,
                                                                 kind):
-    # a float32 cell is the repr of its exact double, not numpy's shorter str
+    # a float32 cell is the repr of its exact double, not numpy's shorter str;
+    # numbers alone take the joined rows, a text column the csv module
     floats = {"float": FLOATS, "float64-array": np.array(FLOATS),
               "float64-list": [np.float64(x) for x in FLOATS],
               "float32-array": np.array(FLOATS[:-1] + [np.finfo(np.float32).max],
                                         dtype=np.float32)}[kind]
     n = len(FLOATS)
-    columns = (floats, np.arange(-4, n - 4, dtype=np.int64), range(n),
-               [f"{k},{k % 2}" for k in range(n)])  # billiard's descriptors hold a comma
-    header = ("x", "i", "k", "descriptor")
-    write_csv(tmp_path / "new.csv", header, columns)
-    write_csv_by_cell(tmp_path / "old.csv", header, zip(*columns))
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-    assert (tmp_path / "new.csv").read_text().splitlines()[2] == '-0.0,-3,1,"1,1"'
+    numbers = (floats, np.arange(-4, n - 4, dtype=np.int64), range(n),
+               np.arange(n) % 3 == 0, np.arange(n, dtype=np.uint8))
+    text = [f"{k},{k % 2}" for k in range(n)]  # billiard's descriptors hold a comma
+    for columns, third_row in ((numbers + (text,), '-0.0,-3,1,False,1,"1,1"'),
+                               (numbers, "-0.0,-3,1,False,1")):
+        header = ("x", "i", "k", "flag", "u", "descriptor")[:len(columns)]
+        write_csv(tmp_path / "new.csv", header, columns)
+        write_csv_by_cell(tmp_path / "old.csv", header, zip(*columns))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert (tmp_path / "new.csv").read_text().splitlines()[2] == third_row
+
+
+def test_write_csv_writes_none_as_an_empty_cell(tmp_path):
+    # cli writes a record holding None, such as billiard's closed_length, as one row
+    write_csv(tmp_path / "r.csv", ("closed_length", "total_length", "only"),
+              ([None], [0.5], [None]))
+    write_csv(tmp_path / "c.csv", ("only",), ([None],))
+    assert (tmp_path / "r.csv").read_bytes() == b"closed_length,total_length,only\r\n,0.5,\r\n"
+    assert (tmp_path / "c.csv").read_bytes() == b'only\r\n""\r\n'
 
 
 @pytest.mark.parametrize("rows", [0, 1, 2**16 - 1, 2**16, 2**16 + 1])
