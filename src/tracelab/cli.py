@@ -72,9 +72,9 @@ _MAX_SAMPLES = 10**7
 # 1e-8 s each: n = 10^4 with l_max = 10^4 took 2.2 s and 37 MiB, the whole
 # run at n = 909 090 with l_max = 109 4.1 s and 223 MiB
 _MAX_GAUSSIANS = 2 * 10**8
-# Cap on bvp-compare's work, trials (30 n + k_max): each trial samples 30
-# modes on n nodes and folds k_max gains, so the trial count alone bounds
-# nothing.  20 trials at n = 333 316, the largest n the cap allows them,
+# Cap on bvp-compare's work, trials (sturm.FOURIER_MODES n + k_max): each
+# trial samples its modes on n nodes and folds k_max gains, so the trial
+# count alone bounds nothing.  20 trials at n = 333 316, the largest n the cap allows them,
 # took 12.4 s and 194 MiB, 2000 at n = 1001 2.2 s and 36 MiB, 2 of
 # k_max = 10^8 gains 2.3 s and 44 MiB
 _MAX_TRIAL_WORK = 2 * 10**8
@@ -108,7 +108,7 @@ def _indefiniteness(spec, grid, mode: str) -> None:
     The eigenvalues come from one LAPACK call at every size, on the even
     and odd halves of a reflection-symmetric matrix (the Green and
     heat-circle kernels) and on any other, such as an asymmetric
-    tabulated kernel, whole; see `nystrom._eigenvalues`.  `ignore`
+    tabulated kernel, whole; see `nystrom.discretize`.  `ignore`
     neither discretizes nor decomposes.
 
     `trace-check` and `spectrum` call it after their own solve, so `fail`
@@ -121,7 +121,7 @@ def _indefiniteness(spec, grid, mode: str) -> None:
         return
     from . import nystrom
 
-    values = nystrom._eigenvalues(spec, grid, jacobi=False)
+    values = nystrom._values(nystrom.discretize(spec, grid, split=True))
     floor = -1e-10 * max(1.0, float(np.abs(values).max()))
     if values.min() < floor:
         message = (f"kernel is indefinite: smallest discrete eigenvalue "
@@ -205,15 +205,15 @@ def _cmd_bvp_compare(args):
 
     if args.trials < 1:
         raise ValueError(f"bvp-compare needs at least one trial, got {args.trials}")
-    grid = _grid("trapezoid", args.n, per_node=30)  # the 30 modes of each f
-    work = args.trials * (30 * args.n + args.kmax)
+    grid = _grid("trapezoid", args.n, per_node=sturm.FOURIER_MODES)
+    work = args.trials * (sturm.FOURIER_MODES * args.n + args.kmax)
     if work > _MAX_TRIAL_WORK:
         raise ValueError(f"trials={args.trials} at n={args.n} and k_max={args.kmax} need "
                          f"{work:.4g} sampled values and gains; the cap is {_MAX_TRIAL_WORK:.4g}")
     worst = -1.0
     worst_data = None
     for trial in range(args.trials):
-        f = sturm.random_fourier_sum(grid, modes=30, seed=args.seed + trial)
+        f = sturm.random_fourier_sum(grid, seed=args.seed + trial)
         direct = sturm.solve_direct(f, grid)
         spectral = sturm.solve_spectral(f, grid, args.kmax)
         sup = float(np.abs(direct - spectral).max())

@@ -102,7 +102,8 @@ def heat_evolve(f: np.ndarray, grid: Grid, t: float, method: str = SPECTRAL,
     l_max (defaulting per the Gaussian tail rule).  Its matrix is the
     Toeplitz matrix of one sampled row, so the quadrature is a linear
     convolution of the weighted samples with that row, done by real FFTs
-    of length 2n: the same sum as the dense matrix product, for any l_max.
+    of the first power of two >= 2n - 1: the same sum as the dense matrix
+    product, for any l_max.
     """
     if t <= 0.0:
         raise ValueError(f"heat evolution needs t > 0, got {t}")
@@ -121,10 +122,13 @@ def heat_evolve(f: np.ndarray, grid: Grid, t: float, method: str = SPECTRAL,
                                           lambda mu: np.exp(-mu * t))
     if method == KERNEL:
         row = heat_circle(t, l_max=l_max).row(grid)
-        # circulant embedding of the Toeplitz matrix: first column
-        # c_0 .. c_{n-1}, 0, c_{n-1} .. c_1
-        column = np.concatenate((row, [0.0], row[:0:-1]))
-        size = 2 * grid.n
+        # circulant embedding of the Toeplitz matrix, first column c_0 ..
+        # c_{n-1}, zeros, c_{n-1} .. c_1, of a power-of-two length: numpy's
+        # FFT takes up to 10x longer on lengths with large prime factors
+        size = 1 << (2 * grid.n - 2).bit_length()
+        column = np.zeros(size)
+        column[:grid.n] = row
+        column[size - grid.n + 1:] = row[:0:-1]
         image = np.fft.rfft(column) * np.fft.rfft(grid.weights * values, size)
         return np.fft.irfft(image, size)[:grid.n]
     raise ValueError(f"unknown method {method!r}")

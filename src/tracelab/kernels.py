@@ -176,7 +176,6 @@ class KernelSpec:
         it, leaving the buffer alone.
         """
         if self.kind == GREEN:
-            eval_green(grid.nodes, 0.0)  # refuses nodes outside [0,1]
             return functools.partial(_green_rows, grid.nodes)
         table = self.matrix(grid)
         return lambda rows, out: table[rows]
@@ -196,7 +195,6 @@ def _green_rows(nodes: np.ndarray, rows: slice, out: np.ndarray) -> np.ndarray:
 
 def _green_matrix(nodes: np.ndarray) -> np.ndarray:
     """eval_green on all node pairs, filled by row blocks into one array."""
-    eval_green(nodes, 0.0)  # refuses nodes outside [0,1]
     out = np.empty((len(nodes), len(nodes)))
     for rows in row_blocks(len(nodes)):
         _green_rows(nodes, rows, out=out[rows])

@@ -166,8 +166,11 @@ def _round_robin(m: int) -> np.ndarray:
     return perm
 
 
-def jacobi_eigen(a, tol: float = 1e-12, max_sweeps: int = 100, *,
-                 values_only: bool = False) -> EigenDecomposition | np.ndarray:
+_TOL = 1e-12
+_MAX_SWEEPS = 100
+
+
+def jacobi_eigen(a, *, values_only: bool = False) -> EigenDecomposition | np.ndarray:
     """Round-robin cyclic Jacobi eigensolver for symmetric matrices.
 
     Each sweep runs n-1 rounds of the round-robin ordering (Brent & Luk,
@@ -176,7 +179,7 @@ def jacobi_eigen(a, tol: float = 1e-12, max_sweeps: int = 100, *,
     index.  The working matrix is kept in pair order, so a round is one
     batched 2x2 product for the rows, one for the columns (applied to the
     transpose) and a fixed permutation to the next round's pairs.  Sweeps
-    stop when the off-diagonal Frobenius norm drops below tol times the
+    stop when the off-diagonal Frobenius norm drops below _TOL times the
     Frobenius norm of the input.  The schedule is fixed, so the output is
     deterministic.  Jacobi is kept as the high-relative-accuracy reference
     for LAPACK (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1992).
@@ -185,11 +188,9 @@ def jacobi_eigen(a, tol: float = 1e-12, max_sweeps: int = 100, *,
     the eigenvalues, sorted descending; they are bit-identical to the
     values of the full decomposition.
 
-    Raises NumericalError if max_sweeps sweeps do not converge
+    Raises NumericalError if _MAX_SWEEPS sweeps do not converge
     (practically unreachable for finite symmetric input).
     """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     sym = _as_sym(a)
     n = sym.n
     m = n + n % 2
@@ -212,11 +213,11 @@ def jacobi_eigen(a, tol: float = 1e-12, max_sweeps: int = 100, *,
         # off-norm from the off-diagonal entries themselves; the textbook
         # sqrt(|A|_F^2 - sum diag^2) cancels catastrophically near convergence
         off = float(np.linalg.norm(mat[offdiag]))
-        if off <= tol * frob:
+        if off <= _TOL * frob:
             break
         sweeps += 1
-        if sweeps > max_sweeps:
-            raise NumericalError(f"jacobi sweeps did not converge after {max_sweeps}")
+        if sweeps > _MAX_SWEEPS:
+            raise NumericalError(f"jacobi sweeps did not converge after {_MAX_SWEEPS}")
         for _ in range(m - 1):
             diag = mat.diagonal()
             app, aqq = diag[0::2], diag[1::2]
@@ -295,17 +296,15 @@ def _fold_halves(rows_of, n: int) -> np.ndarray | None:
     n-1-r, which are folded into the stack at once, and for odd n then
     for the centre row; B itself is never held.  The dropped
     coupling is the reflection-odd part (B - JBJ)/2.  None is returned
-    where it exceeds 8u max|B|, known only once every row was read; for
-    n < 2, where rows_of gives None, and for entries near overflow, which
-    stop the fold at the first such block.
+    where it exceeds 8u max|B|, known only once every row was read; where
+    rows_of gives None, and for entries near overflow, which stop the
+    fold at the first such block.  n >= 2, as on every `Grid`.
 
     Memory: the stack, about n^2/2 entries, and three buffers of about
     2**15 entries, for a row block, its mirror rows and their difference
     or sum.  They serve every block: temporaries made and freed per
     block would shrink and regrow glibc's heap, a page fault per 4 KiB.
     """
-    if n < 2:
-        return None
     m, h = n // 2, (n + 1) // 2
     blocks = np.empty((2, h, h))
     scale = odd_part = 0.0
@@ -354,7 +353,10 @@ def _fold_halves(rows_of, n: int) -> np.ndarray | None:
 
 
 def _reflection_blocks(a: np.ndarray) -> np.ndarray | None:
-    """`_fold_halves` of the square matrix a, which is not changed."""
+    """`_fold_halves` of the square matrix a, n >= 2, which is not changed.
+
+    The tests' dense reference for the halves `nystrom.discretize` samples.
+    """
     return _fold_halves(lambda rows, out: a[rows], a.shape[0])
 
 
@@ -397,14 +399,11 @@ def eigh_eigen(a) -> EigenDecomposition:
     """LAPACK-backed decomposition with the same contract as jacobi_eigen.
 
     Used where problem sizes make O(n^3)-with-large-constant Jacobi sweeps
-    impractical.  a is a matrix or the `Halves` of one.  A
-    reflection-symmetric matrix (JBJ = B to round-off, J reversing the
-    node order), as the Green and heat-circle kernels give on both grids,
-    is split into its even and odd halves, and one `numpy.linalg.eigh`
-    call decomposes both; any other matrix, such as a tabulated kernel
-    without the symmetry, is decomposed whole.  Jacobi (n <= 160 in
-    `nystrom`) and the whole-matrix LAPACK call stay the oracles tests pin
-    this against.
+    impractical.  a is a matrix or the `Halves` of one, as
+    `nystrom.discretize(..., split=True)` gives them; one
+    `numpy.linalg.eigh` call decomposes both halves, or the matrix whole.
+    Jacobi (n <= 160 in `nystrom`) and the whole-matrix LAPACK call stay
+    the oracles tests pin the halves against.
 
     Memory, in units of 8 n^2 bytes: given the halves (0.5), LAPACK adds
     its half-size vectors (0.5), workspace (0.5) and copy of one half
@@ -413,13 +412,8 @@ def eigh_eigen(a) -> EigenDecomposition:
     sorted order with no n x n temporary.
     """
     if not isinstance(a, Halves):
-        sym = _as_sym(a)
-        blocks = _reflection_blocks(sym.entries)
-        if blocks is None:
-            values, vectors = np.linalg.eigh(sym.entries)
-            return _sorted_decomposition(values[::-1], vectors[:, ::-1])
-        a = Halves(blocks, sym.n)
-        del blocks
+        values, vectors = np.linalg.eigh(_as_sym(a).entries)
+        return _sorted_decomposition(values[::-1], vectors[:, ::-1])
     n = a.n
     values, halves = np.linalg.eigh(a.blocks)
     del a  # the only reference, unless the caller keeps one

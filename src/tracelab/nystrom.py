@@ -126,32 +126,22 @@ class TraceFormulaReport:
     residual: float
 
 
-def _eigenvalues(spec: KernelSpec, grid: Grid, *, jacobi: bool) -> np.ndarray:
-    """All eigenvalues of discretize(spec, grid), sorted descending and read-only.
-
-    jacobi=True runs Jacobi values-only on B.  Otherwise one LAPACK call:
-    on the even and odd halves of a reflection-symmetric B (the Green and
-    heat-circle kernels on either grid), sampled without B, and on any
-    other B, such as an asymmetric tabulated kernel, whole and unchanged.
-    """
-    if jacobi:
-        return jacobi_eigen(discretize(spec, grid), values_only=True)
-    return _values(discretize(spec, grid, split=True))
-
-
 def trace_formula_check(spec: KernelSpec, grid: Grid) -> TraceFormulaReport:
     """Sum of all Nystrom eigenvalues against the quadrature of the diagonal.
 
     The two sides agree exactly through the matrix trace, so the residual
     measures only eigensolver round-off; the interesting quantity is how
     fast diag_integral converges to the continuum value as the grid refines.
-    Only eigenvalues are computed: Jacobi values-only up to
+    Only eigenvalues are computed: Jacobi values-only on B up to
     JACOBI_SIZE_LIMIT, one LAPACK call above it, on B's even and odd
-    halves where B is reflection-symmetric (see `_eigenvalues`).  Jacobi
-    and the whole-matrix LAPACK call remain the oracles the split is
-    tested against.
+    halves, sampled without B, where B is reflection-symmetric, and on
+    any other B whole.  Jacobi and the whole-matrix LAPACK call remain
+    the oracles the split is tested against.
     """
-    values = _eigenvalues(spec, grid, jacobi=grid.n <= JACOBI_SIZE_LIMIT)
+    if grid.n <= JACOBI_SIZE_LIMIT:
+        values = jacobi_eigen(discretize(spec, grid), values_only=True)
+    else:
+        values = _values(discretize(spec, grid, split=True))
     eig_sum = float(np.sum(values))
     diag_integral = diagonal_trace(spec, grid)
     return TraceFormulaReport(eig_sum=eig_sum, diag_integral=diag_integral,

@@ -25,6 +25,8 @@ from .quadrature import Grid, _check_sampled
 
 # Block size of the gain fold below: 2**18 float64 gains are 2 MiB
 _BLOCK_VALUES = 2**18
+# The sine modes of each `random_fourier_sum`
+FOURIER_MODES = 30
 # Work cap on k_max, checked before the work starts: folding 10**8 gains
 # takes 1 s (1/mu) to 4 s (exp) on a 2-vCPU machine; the transforms add
 # O(n log n), so n does not enter the cap
@@ -144,11 +146,11 @@ def solve_spectral(f: np.ndarray, grid: Grid, k_max: int) -> np.ndarray:
     return filtered_series(values, grid, k_max, sine_modes, lambda mu: 1.0 / mu)
 
 
-def random_fourier_sum(grid: Grid, modes: int = 30, seed: int = 0) -> np.ndarray:
-    """Seeded random smooth function: sine series with 1/k^2 coefficient decay."""
+def random_fourier_sum(grid: Grid, seed: int = 0) -> np.ndarray:
+    """Seeded random smooth function: FOURIER_MODES sines with 1/k^2 coefficient decay."""
     rng = np.random.default_rng(seed)
-    k = np.arange(1, modes + 1)
-    coeffs = rng.standard_normal(modes) / k**2
+    k = np.arange(1, FOURIER_MODES + 1)
+    coeffs = rng.standard_normal(FOURIER_MODES) / k**2
     rows = sine_modes(k, grid.nodes)[1]
     rows *= coeffs[:, None]
     return rows.sum(axis=0)

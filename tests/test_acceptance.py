@@ -131,7 +131,7 @@ def test_criterion_6_two_method_equivalence():
     grid = make_grid(TRAPEZOID, 1001)
     worst_bvp = 0.0
     for trial in range(20):
-        f = random_fourier_sum(grid, modes=30, seed=trial)
+        f = random_fourier_sum(grid, seed=trial)
         diff = np.abs(solve_direct(f, grid) - solve_spectral(f, grid, 500)).max()
         worst_bvp = max(worst_bvp, float(diff))
     heat_grid = make_grid(MIDPOINT, 512)

@@ -14,6 +14,7 @@ from tracelab.heat import (
     theta_transform_residual,
     trace_sweep_to_csv,
 )
+from tracelab.kernels import heat_circle
 from tracelab.quadrature import MIDPOINT, TRAPEZOID, integrate, make_grid
 from tracelab.sturm import trig_modes
 
@@ -150,6 +151,17 @@ def test_mass_conserved():
     mass = integrate(f, g)
     for t in (0.01, 0.2, 1.0):
         assert abs(integrate(heat_evolve(f, g, t), g) - mass) < 1e-10
+
+
+def test_kernel_method_at_a_power_of_two_is_the_length_2n_embedding():
+    n = 512
+    g = make_grid(MIDPOINT, n)
+    f = random_trig_sample(g, seed=5)
+    row = heat_circle(0.05).row(g)
+    column = np.concatenate((row, [0.0], row[:0:-1]))
+    image = np.fft.rfft(column) * np.fft.rfft(g.weights * f, 2 * n)
+    reference = np.fft.irfft(image, 2 * n)[:n]
+    assert heat_evolve(f, g, 0.05, method=KERNEL).tobytes() == reference.tobytes()
 
 
 def test_maximum_principle_kernel_method():

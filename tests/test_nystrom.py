@@ -6,10 +6,9 @@ import pytest
 
 from tracelab import cli, nystrom
 from tracelab.kernels import green_dirichlet, heat_circle, tabulated
-from tracelab.linalg import eigh_eigen, jacobi_eigen, row_blocks
+from tracelab.linalg import _values, eigh_eigen, jacobi_eigen, row_blocks
 from tracelab.nystrom import (
     JACOBI_SIZE_LIMIT,
-    _eigenvalues,
     discretize,
     operator_spectrum,
     spectrum_to_csv,
@@ -71,7 +70,7 @@ def test_discretize_allocates_one_matrix():
 
 def test_eigh_decomposition_gathers_once():
     n = 801
-    b = discretize(green_dirichlet(), make_grid(TRAPEZOID, n))
+    b = discretize(green_dirichlet(), make_grid(TRAPEZOID, n), split=True)
     tracemalloc.start()
     try:
         d = eigh_eigen(b)
@@ -80,9 +79,8 @@ def test_eigh_decomposition_gathers_once():
         tracemalloc.stop()
     assert d.vectors.shape == (n, n)
     # LAPACK's half-size eigenvectors, 0.5, and the n x n vectors they are
-    # unfolded into, in sorted order, with row-block temporaries; the halves
-    # of B are freed before.  An n x n tie-break or gather temporary would
-    # add 1.0
+    # unfolded into, in sorted order, with row-block temporaries.  An n x n
+    # tie-break or gather temporary would add 1.0
     assert peak < 1.8 * 8 * n**2
 
 
@@ -91,7 +89,7 @@ def test_split_eigenvalues_make_no_full_size_temporary():
         g = make_grid(TRAPEZOID, n)
         tracemalloc.start()
         try:
-            values = _eigenvalues(green_dirichlet(), g, jacobi=False)
+            values = _values(discretize(green_dirichlet(), g, split=True))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -147,16 +145,17 @@ def test_matrix_without_the_symmetry_reaches_lapack_unchanged(monkeypatch, n, bl
     table[i, j] = table[j, i] = table[i, j] + 1e-3
     spec = tabulated(table, g)
     whole = np.linalg.eigvalsh(discretize(spec, g).entries)[::-1]
+    assert _values(discretize(spec, g, split=True)).tobytes() == whole.tobytes()
     calls, discretized = [], nystrom.discretize
     monkeypatch.setattr(nystrom, "discretize",
                         lambda *a, **k: calls.append(k) or discretized(*a, **k))
-    assert _eigenvalues(spec, g, jacobi=False).tobytes() == whole.tobytes()
+    assert trace_formula_check(spec, g).eig_sum == float(np.sum(whole))
     assert calls == [{"split": True}]
 
 
 def parity_sums(n):
     """Sums of the Green trapezoid eigenvalues whose eigenvectors are even / odd about 1/2."""
-    d = eigh_eigen(discretize(green_dirichlet(), make_grid(TRAPEZOID, n)))
+    d = eigh_eigen(discretize(green_dirichlet(), make_grid(TRAPEZOID, n), split=True))
     parity = np.einsum("ij,ij->j", d.vectors, d.vectors[::-1])
     assert np.abs(np.abs(parity) - 1.0).max() < 1e-12
     return float(d.values[parity > 0].sum()), float(d.values[parity < 0].sum())
@@ -295,7 +294,7 @@ def test_eigenfunction_signs_match_per_pair_loop():
         assert (n <= JACOBI_SIZE_LIMIT) == (solve is jacobi_eigen)
         g = make_grid(TRAPEZOID, n)
         spectrum = operator_spectrum(spec, g, 8)
-        d = solve(discretize(spec, g))
+        d = solve(discretize(spec, g, split=solve is eigh_eigen))
         order = np.argsort(-np.abs(d.values), kind="stable")[:8]
         for row, k in enumerate(order):
             f = d.vectors[:, k] / np.sqrt(g.weights)

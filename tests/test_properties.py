@@ -26,7 +26,7 @@ def test_bvp_direct_matches_spectral(n, seed):
     # the trapezoid sums of the direct solve are second order: about 0.34 h^2
     # for these 30-mode data at every size, so h^2 leaves a factor 3
     g = make_grid(TRAPEZOID, n)
-    f = sturm.random_fourier_sum(g, modes=30, seed=seed)
+    f = sturm.random_fourier_sum(g, seed=seed)
     diff = np.abs(sturm.solve_direct(f, g) - sturm.solve_spectral(f, g, (n - 1) // 2)).max()
     assert diff <= g.spacing**2
 
@@ -103,6 +103,9 @@ def test_fft_series_matches_mode_sum(n, k_ratio, seed, periodic, midpoint, inver
 @PROPERTY
 @given(n=st.integers(min_value=8, max_value=512), seed=SEEDS,
        t=st.floats(min_value=1e-4, max_value=5.0), l_max=st.sampled_from([None, 1, 2, 5]))
+# 2n is no power of two: the convolution is zero-padded to 2048
+@example(n=999, seed=0, t=0.01, l_max=None)
+@example(n=1000, seed=0, t=0.01, l_max=2)
 def test_heat_convolution_matches_dense_apply(n, seed, t, l_max):
     # small l_max keeps the kernel Toeplitz but not circulant
     g = make_grid(MIDPOINT, n)
@@ -317,11 +320,14 @@ def lapack_shapes():
 
 
 def split_solves(spec, grid):
-    """nystrom._eigenvalues and eigh_eigen of B, and the shapes LAPACK was handed."""
-    b = nystrom.discretize(spec, grid)
+    """linalg._values and eigh_eigen of B's halves, and the shapes LAPACK was handed.
+
+    Where B lacks the symmetry, `discretize` gives B whole, and so does LAPACK.
+    """
+    halves = nystrom.discretize(spec, grid, split=True)
     with lapack_shapes() as shapes:
-        values = nystrom._eigenvalues(spec, grid, jacobi=False)
-        d = eigh_eigen(b)
+        values = linalg._values(halves)
+        d = eigh_eigen(halves)
     return values, d, shapes
 
 
@@ -352,6 +358,23 @@ def test_reflection_split_matches_dense_lapack(n, midpoint, heat, t):
     assert np.abs(b.entries @ d.vectors - d.vectors * d.values).max() <= tol
 
 
+@pytest.mark.parametrize("n", [200, 201])
+@pytest.mark.parametrize("midpoint", [False, True])
+@pytest.mark.parametrize("heat", [False, True])
+def test_eigh_eigen_decomposes_a_whole_matrix_whole(n, midpoint, heat):
+    # only discretize splits: B itself, reflection-symmetric, goes to LAPACK
+    # whole, and agrees with the decomposition of its halves
+    g = make_grid(MIDPOINT if midpoint else TRAPEZOID, n)
+    spec = kernels.heat_circle(0.01) if heat else kernels.green_dirichlet()
+    b = nystrom.discretize(spec, g)
+    with lapack_shapes() as shapes:
+        d = eigh_eigen(b)
+    assert shapes == [(n, n)]
+    split = eigh_eigen(nystrom.discretize(spec, g, split=True))
+    tol = 4.0 * n * 2.0**-53 * np.abs(split.values).max()
+    assert np.abs(d.values - split.values).max() <= tol
+
+
 @PROPERTY
 @given(n=st.integers(min_value=2, max_value=400), midpoint=st.booleans(), seed=SEEDS)
 def test_reflection_split_only_where_the_matrix_has_the_symmetry(n, midpoint, seed):
@@ -371,7 +394,7 @@ def test_reflection_split_only_where_the_matrix_has_the_symmetry(n, midpoint, se
     values, _, shapes = split_solves(kernels.tabulated(green.matrix(g), g), g)
     h = (n + 1) // 2
     assert shapes == [(2, h, h)] * 2
-    assert same_bits(values, nystrom._eigenvalues(green, g, jacobi=False))
+    assert same_bits(values, linalg._values(nystrom.discretize(green, g, split=True)))
 
 
 @PROPERTY
@@ -397,7 +420,8 @@ def test_sampled_halves_are_the_halves_folded_from_b_bit_for_bit(n, midpoint, ki
     halves = nystrom.discretize(spec, g, split=True)
     assert isinstance(halves, linalg.Halves) and halves.n == n
     assert same_bits(halves.blocks, linalg._reflection_blocks(nystrom.discretize(spec, g).entries))
-    assert same_bits(nystrom._eigenvalues(spec, g, jacobi=False), linalg._values(halves))
+    assert same_bits(linalg._values(nystrom.discretize(spec, g, split=True)),
+                     linalg._values(halves))
 
 
 def reference_kernel(spec, grid):
