@@ -92,6 +92,12 @@ class KernelSpec:
 
     Tabulated kernels carry the grid they were sampled on and are defined
     on its nodes only: sampling them on any other grid is refused.
+
+    Every kind samples finite values, and `nystrom.discretize` checks none:
+    Green on [0,1]^2, heat-circle for t > 0 and 1 <= l_max <= 10**4 (at
+    t >= 1e308 sqrt(4 pi t) overflows and the samples are 0), and a table
+    because it is checked when made, refused for a non-finite entry or an
+    asymmetry above 1e-12 of its largest |entry|.
     """
 
     kind: str
@@ -116,9 +122,17 @@ class KernelSpec:
             n = self.grid.n
             if vals.shape != (n, n):
                 raise ValueError(f"tabulated values must be {n}x{n}, got {vals.shape}")
+            # NaN if an entry is; checked before symmetrizing, where inf + (-inf) warns
+            scale = max(float(vals.max()), -float(vals.min()))
+            if not math.isfinite(scale):
+                # symmetrization spreads a bad entry to its mirror; name the first
+                bad = ~np.isfinite(vals)
+                x, y = self.grid.nodes[np.argwhere(bad | bad.T)[0]].tolist()
+                raise ValueError(f"kernel value is not finite at nodes ({x!r}, {y!r})")
             asym = symmetrize_in_place(vals)
-            if asym > 1e-12:
-                raise ValueError(f"tabulated kernel is asymmetric by {asym:.3e}")
+            if asym > 1e-12 * scale:
+                raise ValueError(f"tabulated kernel is asymmetric by {asym:.3e}, above "
+                                 f"1e-12 of its largest value {scale:.3e}")
             vals.setflags(write=False)
             object.__setattr__(self, "values", vals)
         else:

@@ -290,15 +290,13 @@ def _fold_halves(rows_of, n: int) -> np.ndarray | None:
     every Gershgorin disc, so the pad is the block's smallest eigenvalue.
 
     rows_of(rows, out) returns B[rows] for a slice of rows, written into
-    the buffer out or as a view, or None to give up, as
-    `nystrom.discretize` does where the kernel is not finite.  It is
-    asked for each row block r before the centre and for its mirror rows
-    n-1-r, which are folded into the stack at once, and for odd n then
-    for the centre row; B itself is never held.  The dropped
-    coupling is the reflection-odd part (B - JBJ)/2.  None is returned
-    where it exceeds 8u max|B|, known only once every row was read; where
-    rows_of gives None, and for entries near overflow, which stop the
-    fold at the first such block.  n >= 2, as on every `Grid`.
+    the buffer out or as a view.  It is asked for each row block r before
+    the centre and for its mirror rows n-1-r, which are folded into the
+    stack at once, and for odd n then for the centre row; B itself is
+    never held.  The dropped coupling is the reflection-odd part
+    (B - JBJ)/2.  None is returned where it exceeds 8u max|B|, known only
+    once every row was read, and for entries near overflow, which stop
+    the fold at the first such block.  n >= 2, as on every `Grid`.
 
     Memory: the stack, about n^2/2 entries, and three buffers of about
     2**15 entries, for a row block, its mirror rows and their difference
@@ -313,10 +311,7 @@ def _fold_halves(rows_of, n: int) -> np.ndarray | None:
     for rows in pairs:
         size = rows.stop - rows.start
         top = rows_of(rows, top_rows[:size])
-        bottom = rows_of(slice(n - rows.stop, n - rows.start), bottom_rows[:size])
-        if top is None or bottom is None:
-            return None
-        bottom = bottom[::-1, ::-1]
+        bottom = rows_of(slice(n - rows.stop, n - rows.start), bottom_rows[:size])[::-1, ::-1]
         scale = max(scale, float(top.max()), float(-top.min()),
                     float(bottom.max()), float(-bottom.min()))
         # the pad -4 h max|B| is finite, and so is every sum below
@@ -335,8 +330,6 @@ def _fold_halves(rows_of, n: int) -> np.ndarray | None:
             np.multiply(work[:, m], _HALF_SQRT2, out=blocks[0, rows, m])
     if n % 2:
         centre = rows_of(slice(m, m + 1), top_rows[:1])
-        if centre is None:
-            return None
         scale = max(scale, float(centre.max()), float(-centre.min()))
         # odd-block entries are at most 2 max|B|, so its Gershgorin discs lie
         # above -2m max|B|; -1 for B = 0

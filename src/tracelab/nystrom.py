@@ -37,8 +37,7 @@ def discretize(spec: KernelSpec, grid: Grid, *, split: bool = False) -> SymMatri
     table, equals its transpose bit for bit, and s_i s_j = s_j s_i, so B
     is exactly symmetric as weighted and is adopted without a second
     symmetrizing pass.  The kernel is sampled by row blocks of about 2**16
-    entries (see `KernelSpec.sampler`), each checked and weighted as it
-    is read.
+    entries (see `KernelSpec.sampler`), each weighted as it is read.
 
     split=True returns B's even and odd reflection halves instead, where
     B has that symmetry, as the Green and heat-circle kernels have on
@@ -46,8 +45,7 @@ def discretize(spec: KernelSpec, grid: Grid, *, split: bool = False) -> SymMatri
     and folded straight into the (2, h, h) stack, bit for bit the stack
     `linalg._reflection_blocks` folds from B, so B is never made.  Where
     the check of `linalg._fold_halves` fails, as for a table without the
-    symmetry, B is returned whole; a kernel value that is not finite is
-    refused as without split.
+    symmetry, B is returned whole.
 
     Memory: B, one n x n float64 buffer, or the halves, half of that, and
     buffers of a few row blocks; a tabulated kernel's read-only table is
@@ -56,25 +54,17 @@ def discretize(spec: KernelSpec, grid: Grid, *, split: bool = False) -> SymMatri
     0.75 * 8 N^2 bytes: 90 MiB at N = 3201.
     """
     sample, s = spec.sampler(grid), np.sqrt(grid.weights)
-    if split:
-        def weighted(rows, out):
-            block = sample(rows, out)
-            if not np.isfinite(block).all():
-                return None  # named below, in row-major order
-            return np.multiply(block, np.multiply.outer(s[rows], s), out=out)
 
+    def weighted(rows, out):
+        return np.multiply(sample(rows, out), np.multiply.outer(s[rows], s), out=out)
+
+    if split:
         blocks = _fold_halves(weighted, grid.n)
         if blocks is not None:
             return Halves(blocks, grid.n)
     b = np.empty((grid.n, grid.n))
     for rows in row_blocks(grid.n):
-        block = sample(rows, b[rows])
-        if not np.isfinite(block).all():
-            i, j = np.argwhere(~np.isfinite(block))[0]
-            x, y = grid.nodes[rows.start + i], grid.nodes[j]
-            raise ValueError(f"kernel value is not finite at nodes "
-                             f"({float(x)!r}, {float(y)!r})")
-        np.multiply(block, np.multiply.outer(s[rows], s), out=b[rows])
+        weighted(rows, b[rows])
     return SymMatrix._from_buffer(b)
 
 

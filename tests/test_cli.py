@@ -602,6 +602,8 @@ BAD_INPUTS = [
     (["trace-check", "--kernel", "{tmp}/mislabelled.csv"], 2),
     (["trace-check", "--kernel", "{tmp}/midpoint-labels.csv"], 2),
     (["trace-check", "--kernel", "{tmp}/comment.csv"], 2),
+    (["trace-check", "--kernel", "{tmp}/nan-cell.csv"], 2),
+    (["spectrum", "--kernel", "{tmp}/inf-cell.csv"], 2),
     (["billiard", "--shape", "disc", "--radius", "1e200"], 2),
     (["length-spectrum", "--b", "5e-324"], 2),
     (["length-spectrum", "--a", "5e-324"], 2),
@@ -619,6 +621,8 @@ BAD_TABLES = {
     "midpoint-labels.csv": "node,0.0,0.5,1.0\n0.16666666666666666,1,2,3\n"
                            "0.5,2,3,4\n0.8333333333333334,3,4,5\n",
     "comment.csv": "node,0.0,0.5,1.0\n0.0,1,2,3\n0.5,2,3,4 # note\n1.0,3,4,5\n",
+    "nan-cell.csv": "node,0.0,0.5,1.0\n0.0,1,2,3\n0.5,2,3,4\n1.0,3,nan,5\n",
+    "inf-cell.csv": "node,0.0,0.5,1.0\n0.0,1,2,inf\n0.5,2,3,4\n1.0,3,4,5\n",
 }
 
 
@@ -661,6 +665,8 @@ NAMED_IN_ERROR = {
                                                        "labelled with its node",
     "trace-check --kernel {tmp}/comment.csv": "could not convert string '4 # note' to float "
                                                "at row 2, column 4",
+    "trace-check --kernel {tmp}/nan-cell.csv": "kernel value is not finite at nodes (0.5, 1.0)",
+    "spectrum --kernel {tmp}/inf-cell.csv": "kernel value is not finite at nodes (0.0, 1.0)",
     "billiard --shape disc --radius 1e200": "radius=1e+200",
     "length-spectrum --b 5e-324": "b=5e-324",
     "length-spectrum --a 5e-324": "a=5e-324",

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -164,6 +165,29 @@ def test_kernel_spec_validation():
     lopsided[0, 1] = 1.0
     with pytest.raises(ValueError):
         tabulated(lopsided, g)
+
+
+def test_tabulated_rejects_nonfinite_with_location():
+    g = make_grid(TRAPEZOID, 5)
+    values = np.zeros((5, 5))
+    values[2, 3] = values[3, 2] = np.nan
+    with pytest.raises(ValueError, match=re.escape("not finite at nodes (0.5, 0.75)")):
+        tabulated(values, g)
+
+
+def test_tabulated_symmetry_tolerance_is_relative_to_the_largest_entry():
+    g = make_grid(TRAPEZOID, 4)
+    # asymmetric by more than its largest entry, yet every entry below 1e-12
+    tiny = np.random.default_rng(1).uniform(-1.0, 1.0, (4, 4)) * 1e-13
+    asym, scale = np.abs(tiny - tiny.T).max(), np.abs(tiny).max()
+    assert asym > scale
+    message = f"asymmetric by {asym:.3e}, above 1e-12 of its largest value {scale:.3e}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tabulated(tiny, g)
+    # a relative asymmetry of 1e-15, above 1e-12 in absolute terms
+    big = np.full((4, 4), 1e6)
+    big[0, 1] += 1e-9
+    assert np.abs(tabulated(big, g).values - 1e6).max() < 1e-9
 
 
 @pytest.mark.parametrize("make", [heat_circle])

@@ -230,7 +230,7 @@ def test_symmetrization_rejects_nonfinite_entries():
 
 
 def test_blocked_asymmetry_propagates_nan_and_inf():
-    # entries in a late row block; only a tabulated kernel's table gets here unchecked
+    # entries in a late row block; a tabulated kernel refuses its table before this
     for bad, expected in ((np.nan, math.isnan), (np.inf, math.isinf)):
         a = np.eye(300)
         a[250, 260] = bad

@@ -45,14 +45,6 @@ def test_discretize_zero_kernel():
     assert np.abs(b.entries).max() == 0.0
 
 
-def test_discretize_rejects_nonfinite_with_location():
-    g = make_grid(TRAPEZOID, 5)
-    values = np.zeros((5, 5))
-    values[2, 3] = values[3, 2] = np.nan
-    with pytest.raises(ValueError, match="not finite"):
-        discretize(tabulated(values, g), g)
-
-
 def test_discretize_allocates_one_matrix():
     n = 801
     g = make_grid(TRAPEZOID, n)

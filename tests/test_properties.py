@@ -493,17 +493,32 @@ def test_diag_is_the_matrix_diagonal_bit_for_bit(n, midpoint, kind, t, l_max, se
 
 @PROPERTY
 @given(n=st.integers(min_value=2, max_value=300), midpoint=st.booleans(),
-       row=st.floats(0.0, 1.0, exclude_max=True), column=st.floats(0.0, 1.0, exclude_max=True))
-@example(n=300, midpoint=False, row=0.99, column=0.9)  # past the first row block
-def test_discretize_names_the_first_nonfinite_node_pair(n, midpoint, row, column):
+       row=st.floats(0.0, 1.0, exclude_max=True), column=st.floats(0.0, 1.0, exclude_max=True),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+@example(n=300, midpoint=False, row=0.99, column=0.9, bad=np.nan)  # past the first row block
+def test_tabulated_names_the_first_nonfinite_node_pair(n, midpoint, row, column, bad):
     g = make_grid(MIDPOINT if midpoint else TRAPEZOID, n)
     i, j = int(row * n), int(column * n)
     table = np.ones((n, n))
-    table[i, j] = np.nan
-    # symmetrization spreads the NaN to (j, i); row-major order meets the upper one first
+    table[i, j] = bad
+    # symmetrization would spread it to (j, i); row-major order meets the upper one first
     first, second = min(i, j), max(i, j)
     # plain floats, not numpy reprs such as np.float64(0.5)
     x, y = float(g.nodes[first]), float(g.nodes[second])
     message = f"kernel value is not finite at nodes ({x!r}, {y!r})"
     with pytest.raises(ValueError, match=re.escape(message)):
-        nystrom.discretize(kernels.tabulated(table, g), g)
+        kernels.tabulated(table, g)
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(n=st.integers(min_value=2, max_value=64), midpoint=st.booleans(),
+       t=st.floats(min_value=1e-4, max_value=1.7e308), l_max=st.sampled_from([1, 2, 7, 10**4]))
+@example(n=64, midpoint=True, t=1e-4, l_max=10**4)
+@example(n=2, midpoint=False, t=1.7e308, l_max=10**4)
+def test_built_in_kernels_sample_finite_values(n, midpoint, t, l_max):
+    # the invariant that lets discretize sample them unchecked; a RuntimeWarning
+    # of an overflow on the way is an error here too
+    g = make_grid(MIDPOINT if midpoint else TRAPEZOID, n)
+    t = max(t, g.spacing**2 / 2.0)  # the narrowest heat kernel `row` accepts
+    for spec in (kernels.green_dirichlet(), kernels.heat_circle(t, l_max=l_max)):
+        assert np.isfinite(spec.matrix(g)).all() and np.isfinite(spec.diag(g)).all()
