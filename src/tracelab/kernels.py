@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .fileio import read_csv
-from .linalg import row_blocks, symmetrize_in_place
+from .linalg import SymMatrix, row_blocks
 from .quadrature import MIDPOINT, TRAPEZOID, Grid, integrate, make_grid
 
 GREEN = "green-dirichlet"
@@ -72,17 +72,27 @@ def periodic_tail_bound(t: float, l_max: int) -> float:
 
 
 def eval_heat_periodic(t: float, x, y, l_max: int):
-    """1-periodized heat kernel: sum of K_t(x, y + l) over |l| <= l_max."""
+    """1-periodized heat kernel: sum of K_t(x, y + l) over |l| <= l_max.
+
+    Summed in place by blocks of about 2**16 images below their running sum.
+    """
     if t <= 0.0:
         raise ValueError(f"heat kernel needs t > 0, got {t}")
     if l_max < 1:
         raise ValueError(f"periodization needs l_max >= 1, got {l_max}")
-    xv = np.asarray(x, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    out = np.zeros(np.broadcast(xv, yv).shape)
-    for ell in range(-l_max, l_max + 1):
-        out += np.exp(-((xv - yv - ell) ** 2) / (4.0 * t))
-    out /= math.sqrt(4.0 * math.pi * t)
+    gaps = np.subtract(x, y, dtype=float)
+    # np.add.reduce adds the rows of two or more columns in turn, with the bits
+    # of a loop over l, but one column pairwise: a lone column gets a twin
+    columns = np.resize(gaps, max(gaps.size, 2))
+    blocks = row_blocks(2 * l_max + 1, columns.size)
+    work = np.zeros((blocks[0].stop + 1, columns.size))
+    for rows in blocks:
+        terms = work[1:rows.stop - rows.start + 1]
+        np.subtract(columns, np.arange(rows.start - l_max, rows.stop - l_max)[:, None], out=terms)
+        np.divide(np.square(terms, out=terms), -4.0 * t, out=terms)  # -(d^2) / (4t), bit for bit
+        np.exp(terms, out=terms)
+        work[0] = np.add.reduce(work[:len(terms) + 1])
+    out = work[0, :gaps.size].reshape(gaps.shape) / math.sqrt(4.0 * math.pi * t)
     return float(out) if out.ndim == 0 else out
 
 
@@ -107,9 +117,7 @@ class KernelSpec:
     grid: Grid | None = None
 
     def __post_init__(self):
-        if self.kind == GREEN:
-            pass
-        elif self.kind == HEAT_CIRCLE:
+        if self.kind == HEAT_CIRCLE:
             if self.t is None or self.t <= 0.0:
                 raise ValueError(f"{self.kind} requires t > 0, got {self.t}")
             if self.l_max is None or not 1 <= self.l_max <= _MAX_IMAGES:
@@ -118,30 +126,29 @@ class KernelSpec:
         elif self.kind == TABULATED:
             if self.values is None or self.grid is None:
                 raise ValueError("tabulated kernel requires values and their grid")
-            vals = np.array(self.values, dtype=float, order="C")
+            vals = np.asarray(self.values, dtype=float)
             n = self.grid.n
             if vals.shape != (n, n):
                 raise ValueError(f"tabulated values must be {n}x{n}, got {vals.shape}")
-            # NaN if an entry is; checked before symmetrizing, where inf + (-inf) warns
+            # NaN if an entry is
             scale = max(float(vals.max()), -float(vals.min()))
             if not math.isfinite(scale):
                 # symmetrization spreads a bad entry to its mirror; name the first
                 bad = ~np.isfinite(vals)
                 x, y = self.grid.nodes[np.argwhere(bad | bad.T)[0]].tolist()
                 raise ValueError(f"kernel value is not finite at nodes ({x!r}, {y!r})")
-            asym = symmetrize_in_place(vals)
-            if asym > 1e-12 * scale:
-                raise ValueError(f"tabulated kernel is asymmetric by {asym:.3e}, above "
-                                 f"1e-12 of its largest value {scale:.3e}")
-            vals.setflags(write=False)
-            object.__setattr__(self, "values", vals)
-        else:
+            table = SymMatrix(entries=vals)
+            if table.asymmetry > 1e-12 * scale:
+                raise ValueError(f"tabulated kernel is asymmetric by {table.asymmetry:.3e}, "
+                                 f"above 1e-12 of its largest value {scale:.3e}")
+            object.__setattr__(self, "values", table.entries)
+        elif self.kind != GREEN:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
 
     def diag(self, grid: Grid) -> np.ndarray:
         """The kernel on the node pairs (x_i, x_i): the diagonal of `matrix`."""
         if self.kind == GREEN:
-            return eval_green(grid.nodes, grid.nodes)
+            return grid.nodes * (1.0 - grid.nodes)
         if self.kind == HEAT_CIRCLE:
             return np.full(grid.n, eval_heat_periodic(self.t, 0.0, 0.0, self.l_max))
         # a contiguous copy: np.dot sums a strided view in another order
@@ -252,4 +259,4 @@ def kernel_from_csv(path) -> KernelSpec:
             if not ok.all():
                 raise ValueError(f"{path}: row {ok.argmin() + 1} is not labelled with its node")
             return tabulated(table[:, 1:], candidate)
-    raise ValueError("CSV nodes match neither uniform grid kind")
+    raise ValueError(f"{path}: CSV nodes match neither uniform grid kind")

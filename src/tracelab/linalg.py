@@ -8,7 +8,7 @@ it gets a dedicated checker that reports both sides and their residual.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,22 +27,21 @@ def row_blocks(n: int, width: int | None = None) -> list[slice]:
     return [slice(first, min(first + step, n)) for first in range(0, n, step)]
 
 
-def symmetrize_in_place(a: np.ndarray, *, require_finite: bool = False) -> float:
+def symmetrize_in_place(a: np.ndarray) -> float:
     """Overwrite the square array a with (a + a^T)/2; return max |a - a^T| before.
 
     Block r pairs rows r right of the diagonal with columns r below it, so
     each temporary holds one row block and every entry is formed as in the
     whole-array expressions.  Two finite entries whose sum overflows are
-    halved before they are added, so every finite a gives a finite result;
-    an asymmetry beyond the float range is inf.  A NaN entry makes the
-    result NaN, as numpy's max does.  require_finite raises ValueError on a
-    non-finite entry, possibly after earlier blocks of a were overwritten.
+    halved before they are added, so the result is finite; an asymmetry
+    beyond the float range is inf.  Raises ValueError on a non-finite
+    entry, possibly after earlier blocks of a were overwritten.
     """
     asym = 0.0
     for rows in row_blocks(a.shape[0]):
         upper = a[rows, rows.start:]
         lower = a[rows.start:, rows].T
-        if require_finite and not (np.isfinite(upper).all() and np.isfinite(lower).all()):
+        if not (np.isfinite(upper).all() and np.isfinite(lower).all()):
             raise ValueError("matrix entries must be finite")
         with np.errstate(over="ignore"):
             work = np.subtract(upper, lower)
@@ -51,7 +50,7 @@ def symmetrize_in_place(a: np.ndarray, *, require_finite: bool = False) -> float
         work *= 0.5
         overflowed = np.isinf(work)
         if overflowed.any():
-            # halved first, the two cannot overflow; an inf entry stays inf
+            # halved first, the two cannot overflow
             work[overflowed] = upper[overflowed] * 0.5 + lower[overflowed] * 0.5
         # the diagonal square lies in both views and gets the same values twice
         upper[...] = work
@@ -70,13 +69,13 @@ class SymMatrix:
     """
 
     entries: np.ndarray
-    asymmetry: float = 0.0
+    asymmetry: float = field(init=False)
 
     def __post_init__(self):
         a = np.array(self.entries, dtype=float, order="C")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        self._adopt(a, symmetrize_in_place(a, require_finite=True))
+        self._adopt(a, symmetrize_in_place(a))
 
     @classmethod
     def _from_buffer(cls, buffer: np.ndarray) -> SymMatrix:

@@ -609,9 +609,15 @@ BAD_INPUTS = [
     (["length-spectrum", "--a", "5e-324"], 2),
     (["wave-trace", "--sigma", "1e200"], 2),
     (["wave-trace", "--t-max", "600", "--t-step", "0.06", "--window", "1", "--tol", "1000"], 2),
+    (["bvp-compare", "--kmax", "0"], 2),
+    (["mercer", "--kmax", "0"], 2),
+    (["wave-trace", "--tol", "0"], 2),
+    (["billiard", "--tol", "0"], 2),
+    (["billiard", "--start", "0", "0.5", "--dir", "-1", "0"], 2),
+    (["trace-check", "--kernel", "{tmp}/off-grid.csv"], 2),
 ]
 
-# kernel tables with a fault; each of the others is a 3-node trapezoid table
+# kernel tables with a fault; the others have 3 nodes, on the trapezoid grid but for off-grid.csv
 BAD_TABLES = {
     "empty.csv": "",
     "header-only.csv": "node,0.0,0.5,1.0\r\n",
@@ -623,6 +629,7 @@ BAD_TABLES = {
     "comment.csv": "node,0.0,0.5,1.0\n0.0,1,2,3\n0.5,2,3,4 # note\n1.0,3,4,5\n",
     "nan-cell.csv": "node,0.0,0.5,1.0\n0.0,1,2,3\n0.5,2,3,4\n1.0,3,nan,5\n",
     "inf-cell.csv": "node,0.0,0.5,1.0\n0.0,1,2,inf\n0.5,2,3,4\n1.0,3,4,5\n",
+    "off-grid.csv": "node,0.0,0.4,1.0\n0.0,1,2,3\n0.4,2,3,4\n1.0,3,4,5\n",
 }
 
 
@@ -673,6 +680,13 @@ NAMED_IN_ERROR = {
     "wave-trace --sigma 1e200": "sigma=1e+200",
     "wave-trace --t-max 600 --t-step 0.06 --window 1 --tol 1000": "tol=1000.0 puts 7260158 "
                                                                    "(peak, length) pairs",
+    "bvp-compare --kmax 0": "k_max must be >= 1, got 0",
+    "mercer --kmax 0": "k_max must be >= 1, got 0",
+    "wave-trace --tol 0": "tolerance must be positive, got 0.0",
+    "billiard --tol 0": "tolerance must be positive, got 0.0",
+    "billiard --start 0 0.5 --dir -1 0": "start on a vertical wall must point inward",
+    "trace-check --kernel {tmp}/off-grid.csv": "off-grid.csv: CSV nodes match neither "
+                                                "uniform grid kind",
 }
 
 

@@ -15,6 +15,7 @@ from tracelab.kernels import (
     periodic_tail_bound,
     tabulated,
 )
+from tracelab.linalg import SymMatrix
 from tracelab.quadrature import MIDPOINT, TRAPEZOID, make_grid
 
 
@@ -23,6 +24,17 @@ def brute_force_periodic(t, x, y, cutoff=400):
     return sum(
         math.exp(-((x - y - ell) ** 2) / (4 * t)) for ell in range(-cutoff, cutoff + 1)
     ) / math.sqrt(4 * math.pi * t)
+
+
+def per_image_periodic(t, x, y, l_max):
+    """The images added one numpy call at a time: the bit-level reference of the blocked sum."""
+    xv = np.asarray(x, dtype=float)
+    yv = np.asarray(y, dtype=float)
+    out = np.zeros(np.broadcast(xv, yv).shape)
+    for ell in range(-l_max, l_max + 1):
+        out += np.exp(-((xv - yv - ell) ** 2) / (4.0 * t))
+    out /= math.sqrt(4.0 * math.pi * t)
+    return float(out) if out.ndim == 0 else out
 
 
 def test_green_center():
@@ -153,6 +165,17 @@ def test_diagonal_trace_heat_circle_matches_eigen_sum():
     assert abs(diagonal_trace(heat_circle(t), g) - eigen_sum) < 1e-10
 
 
+# at t = 4e4 every image counts; 40 nodes take 13 blocks of images at l_max = 10**4
+@pytest.mark.parametrize("l_max, t", [(1, 0.05), (12, 0.05), (12, 4e4), (2000, 4e4),
+                                      (10**4, 4e4)])
+def test_heat_image_blocks_keep_the_bits_of_the_per_image_sum(l_max, t):
+    nodes = make_grid(MIDPOINT, 40).nodes
+    for x, y in ((0.0, 0.0), (0.3, 0.7), (nodes, 0.0), (nodes[:8, None], nodes[::8])):
+        got, expected = eval_heat_periodic(t, x, y, l_max), per_image_periodic(t, x, y, l_max)
+        assert type(got) is type(expected)
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
 def test_kernel_spec_validation():
     g = make_grid(TRAPEZOID, 4)
     with pytest.raises(ValueError):
@@ -165,6 +188,15 @@ def test_kernel_spec_validation():
     lopsided[0, 1] = 1.0
     with pytest.raises(ValueError):
         tabulated(lopsided, g)
+
+
+def test_tabulated_table_is_its_symmetric_matrix():
+    g = make_grid(MIDPOINT, 300)
+    values = np.random.default_rng(4).uniform(-1.0, 1.0, (300, 300))
+    values += values.T + np.random.default_rng(5).uniform(-1e-13, 1e-13, (300, 300))
+    table = tabulated(values, g).values
+    assert table.tobytes() == SymMatrix(entries=values).entries.tobytes()
+    assert not table.flags.writeable and not np.shares_memory(table, values)
 
 
 def test_tabulated_rejects_nonfinite_with_location():

@@ -222,19 +222,20 @@ def test_symmetrization_copies_and_leaves_the_input_alone():
 
 
 def test_symmetrization_rejects_nonfinite_entries():
-    for bad in (np.nan, np.inf):
-        a = np.eye(300)
-        a[250, 3] = bad
-        with pytest.raises(ValueError, match="matrix entries must be finite"):
-            SymMatrix(entries=a)
+    # below the diagonal and right of it, in a late row block
+    for bad in (np.nan, np.inf, -np.inf):
+        for where in ((250, 3), (250, 260)):
+            a = np.eye(300)
+            a[where] = bad
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                SymMatrix(entries=a)
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                symmetrize_in_place(a)
 
 
-def test_blocked_asymmetry_propagates_nan_and_inf():
-    # entries in a late row block; a tabulated kernel refuses its table before this
-    for bad, expected in ((np.nan, math.isnan), (np.inf, math.isinf)):
-        a = np.eye(300)
-        a[250, 260] = bad
-        assert expected(symmetrize_in_place(a))
+def test_asymmetry_is_measured_not_passed_in():
+    with pytest.raises(TypeError):
+        SymMatrix(entries=np.eye(2), asymmetry=1.0)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)

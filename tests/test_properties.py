@@ -522,3 +522,49 @@ def test_built_in_kernels_sample_finite_values(n, midpoint, t, l_max):
     t = max(t, g.spacing**2 / 2.0)  # the narrowest heat kernel `row` accepts
     for spec in (kernels.green_dirichlet(), kernels.heat_circle(t, l_max=l_max)):
         assert np.isfinite(spec.matrix(g)).all() and np.isfinite(spec.diag(g)).all()
+
+
+def green_closed_form(grid) -> np.ndarray:
+    """The Green Nystrom eigenvalues h^2 / (4 sin^2(k pi h / 2)), descending.
+
+    On the midpoint grid k = 1..n.  On the trapezoid grid the end nodes
+    carry a zero row and column, so k = 1..n-2 and two zeros.
+    """
+    n, h = grid.n, grid.spacing
+    k = np.arange(1, n + 1 if grid.kind == MIDPOINT else n - 1)
+    values = h * h / (4.0 * np.sin(k * math.pi * h / 2.0) ** 2)
+    return np.concatenate((values, np.zeros(n - len(k))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(n=st.integers(min_value=2, max_value=600), midpoint=st.booleans())
+@example(n=64, midpoint=False)
+@example(n=600, midpoint=True)
+def test_green_values_are_the_closed_form(n, midpoint):
+    # measured: LAPACK within 1.0 n u max|lambda| up to n = 1201, Jacobi within 1.7
+    g = make_grid(MIDPOINT if midpoint else TRAPEZOID, n)
+    spec, exact = kernels.green_dirichlet(), green_closed_form(g)
+    tol = 4.0 * n * 2.0**-53 * exact.max()
+    assert np.abs(linalg._values(nystrom.discretize(spec, g, split=True)) - exact).max() <= tol
+    if n <= 64:
+        values = jacobi_eigen(nystrom.discretize(spec, g), values_only=True)
+        assert np.abs(values - exact).max() <= tol
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(n=st.integers(min_value=2, max_value=300), midpoint=st.booleans(),
+       kind=st.sampled_from(["green", "gram", "indefinite"]), seed=SEEDS)
+def test_trace_formula_residual_is_round_off(n, midpoint, kind, seed):
+    # summing n eigenvalues and n diagonal entries, each accurate to a few
+    # u |B|_F, leaves a residual of order n u |B|_F (Higham, Accuracy and
+    # Stability of Numerical Algorithms, ch. 4); measured up to 2.03
+    g = make_grid(MIDPOINT if midpoint else TRAPEZOID, n)
+    rng = np.random.default_rng(seed)
+    if kind == "green":
+        spec = kernels.green_dirichlet()
+    else:
+        table = rng.uniform(-1.0, 1.0, (n, n))
+        spec = kernels.tabulated(table @ table.T if kind == "gram" else table + table.T, g)
+    frobenius = float(np.linalg.norm(nystrom.discretize(spec, g).entries))
+    report = nystrom.trace_formula_check(spec, g)
+    assert report.residual <= 8.0 * n * 2.0**-53 * frobenius
