@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -29,6 +29,8 @@ _HEAT_EPS = 1e-16
 # Cap on the images per side of the periodized heat kernel, which the default
 # truncation reaches near t = 4.2e4, where the kernel is constant to double precision
 _MAX_IMAGES = 10**4
+# Largest max|T - JTJ| of a reflective table per u max|T|: Green's reach 5, heat-circle's 0
+_REFLECTION_ODD_TOL = 16.0 * 2.0**-53
 
 
 def eval_green(x, y):
@@ -108,6 +110,11 @@ class KernelSpec:
     t >= 1e308 sqrt(4 pi t) overflows and the samples are 0), and a table
     because it is checked when made, refused for a non-finite entry or an
     asymmetry above 1e-12 of its largest |entry|.
+
+    `reflective`, set when made, says that each Nystrom matrix B equals JBJ
+    to round-off, J reversing the node order, and that the pad -4h max|B|
+    of `linalg._fold_halves` is finite: Green and heat-circle on both
+    grids, a table where max|T - JTJ| <= 16u max|T| and 4n max|T| is finite.
     """
 
     kind: str
@@ -115,8 +122,10 @@ class KernelSpec:
     l_max: int | None = None
     values: np.ndarray | None = None
     grid: Grid | None = None
+    reflective: bool = field(init=False)
 
     def __post_init__(self):
+        reflective = True
         if self.kind == HEAT_CIRCLE:
             if self.t is None or self.t <= 0.0:
                 raise ValueError(f"{self.kind} requires t > 0, got {self.t}")
@@ -142,8 +151,13 @@ class KernelSpec:
                 raise ValueError(f"tabulated kernel is asymmetric by {table.asymmetry:.3e}, "
                                  f"above 1e-12 of its largest value {scale:.3e}")
             object.__setattr__(self, "values", table.entries)
+            # rows before the centre against their mirrors; the centre row is a column
+            reflective = math.isfinite(4.0 * n * scale) and all(
+                np.abs(table.entries[r] - table.entries[::-1, ::-1][r]).max()
+                <= _REFLECTION_ODD_TOL * scale for r in row_blocks(n // 2, n))
         elif self.kind != GREEN:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
+        object.__setattr__(self, "reflective", reflective)
 
     def diag(self, grid: Grid) -> np.ndarray:
         """The kernel on the node pairs (x_i, x_i): the diagonal of `matrix`."""

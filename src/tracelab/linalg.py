@@ -255,9 +255,6 @@ def jacobi_eigen(a, *, values_only: bool = False) -> EigenDecomposition | np.nda
     return _sorted_decomposition(values, vec[:n].T)
 
 
-# Largest reflection-odd part (B - JBJ)/2 that still counts as round-off, in
-# units of u max|B|: Green matrices reach 2.5u, heat-circle matrices are exact
-_REFLECTION_ODD_TOL = 8.0 * 2.0**-53
 _HALF_SQRT2 = math.sqrt(0.5)
 
 
@@ -276,7 +273,7 @@ class Halves:
         self.blocks, self.n = blocks, n
 
 
-def _fold_halves(rows_of, n: int) -> np.ndarray | None:
+def _fold_halves(rows_of, n: int) -> np.ndarray:
     """The even and odd diagonal blocks of Q B Q^T, stacked as (2, h, h), h = ceil(n/2).
 
     J reverses the node order, which is x -> 1 - x on a symmetric grid.  Q
@@ -292,19 +289,18 @@ def _fold_halves(rows_of, n: int) -> np.ndarray | None:
     the buffer out or as a view.  It is asked for each row block r before
     the centre and for its mirror rows n-1-r, which are folded into the
     stack at once, and for odd n then for the centre row; B itself is
-    never held.  The dropped coupling is the reflection-odd part
-    (B - JBJ)/2.  None is returned where it exceeds 8u max|B|, known only
-    once every row was read, and for entries near overflow, which stop
-    the fold at the first such block.  n >= 2, as on every `Grid`.
+    never held.  It drops the reflection-odd part (B - JBJ)/2, and B is
+    folded only where `KernelSpec.reflective` says that is round-off and
+    the pad finite.  n >= 2, as on every `Grid`.
 
     Memory: the stack, about n^2/2 entries, and three buffers of about
-    2**15 entries, for a row block, its mirror rows and their difference
-    or sum.  They serve every block: temporaries made and freed per
-    block would shrink and regrow glibc's heap, a page fault per 4 KiB.
+    2**15 entries, for a row block, its mirror rows and their sum.  They
+    serve every block: temporaries made and freed per block would shrink
+    and regrow glibc's heap, a page fault per 4 KiB.
     """
     m, h = n // 2, (n + 1) // 2
     blocks = np.empty((2, h, h))
-    scale = odd_part = 0.0
+    scale = 0.0
     pairs = row_blocks(m, 2 * n)
     top_rows, bottom_rows, work_rows = np.empty((3, pairs[0].stop, n))
     for rows in pairs:
@@ -313,14 +309,9 @@ def _fold_halves(rows_of, n: int) -> np.ndarray | None:
         bottom = rows_of(slice(n - rows.stop, n - rows.start), bottom_rows[:size])[::-1, ::-1]
         scale = max(scale, float(top.max()), float(-top.min()),
                     float(bottom.max()), float(-bottom.min()))
-        # the pad -4 h max|B| is finite, and so is every sum below
-        if not math.isfinite(4.0 * h * scale):
-            return None
-        work = np.subtract(top, bottom, out=work_rows[:size])
-        odd_part = max(odd_part, float(np.abs(work, out=work).max()))
         # work = 2M on these rows, M = (B + JBJ)/2; the even block is
         # M[r, j] + M[r, n-1-j] and the odd block M[r, j] - M[r, n-1-j]
-        np.add(top, bottom, out=work)
+        work = np.add(top, bottom, out=work_rows[:size])
         left, right = work[:, :m], work[:, ::-1][:, :m]
         np.add(left, right, out=blocks[0, rows, :m])
         np.subtract(left, right, out=blocks[1, rows, :m])
@@ -333,18 +324,14 @@ def _fold_halves(rows_of, n: int) -> np.ndarray | None:
         # odd-block entries are at most 2 max|B|, so its Gershgorin discs lie
         # above -2m max|B|; -1 for B = 0
         pad = -4.0 * h * scale or -1.0
-        if not math.isfinite(pad):
-            return None
         blocks[0, m, :m] = blocks[0, :m, m]
         blocks[0, m, m] = centre[0, m]
         blocks[1, m, :] = blocks[1, :, m] = 0.0
         blocks[1, m, m] = pad
-    if odd_part > 2.0 * _REFLECTION_ODD_TOL * scale:
-        return None
     return blocks
 
 
-def _reflection_blocks(a: np.ndarray) -> np.ndarray | None:
+def _reflection_blocks(a: np.ndarray) -> np.ndarray:
     """`_fold_halves` of the square matrix a, n >= 2, which is not changed.
 
     The tests' dense reference for the halves `nystrom.discretize` samples.

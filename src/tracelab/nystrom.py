@@ -39,13 +39,12 @@ def discretize(spec: KernelSpec, grid: Grid, *, split: bool = False) -> SymMatri
     symmetrizing pass.  The kernel is sampled by row blocks of about 2**16
     entries (see `KernelSpec.sampler`), each weighted as it is read.
 
-    split=True returns B's even and odd reflection halves instead, where
-    B has that symmetry, as the Green and heat-circle kernels have on
-    both grids: each row block and its mirror rows are sampled, weighted
-    and folded straight into the (2, h, h) stack, bit for bit the stack
-    `linalg._reflection_blocks` folds from B, so B is never made.  Where
-    the check of `linalg._fold_halves` fails, as for a table without the
-    symmetry, B is returned whole.
+    split=True returns B's even and odd reflection halves instead where
+    `spec.reflective`, as for Green and heat-circle on both grids: each
+    row block and its mirror rows are sampled, weighted and folded
+    straight into the (2, h, h) stack, bit for bit the stack
+    `linalg._reflection_blocks` folds from B, so B is never made.  Any
+    other B, as of a table without the symmetry, is sampled once, whole.
 
     Memory: B, one n x n float64 buffer, or the halves, half of that, and
     buffers of a few row blocks; a tabulated kernel's read-only table is
@@ -58,10 +57,8 @@ def discretize(spec: KernelSpec, grid: Grid, *, split: bool = False) -> SymMatri
     def weighted(rows, out):
         return np.multiply(sample(rows, out), np.multiply.outer(s[rows], s), out=out)
 
-    if split:
-        blocks = _fold_halves(weighted, grid.n)
-        if blocks is not None:
-            return Halves(blocks, grid.n)
+    if split and spec.reflective:
+        return Halves(_fold_halves(weighted, grid.n), grid.n)
     b = np.empty((grid.n, grid.n))
     for rows in row_blocks(grid.n):
         weighted(rows, b[rows])
@@ -132,7 +129,9 @@ def trace_formula_check(spec: KernelSpec, grid: Grid) -> TraceFormulaReport:
         values = jacobi_eigen(discretize(spec, grid), values_only=True)
     else:
         values = _values(discretize(spec, grid, split=True))
-    eig_sum = float(np.sum(values))
+    # summed scaled by a power of two, exactly, so that it cannot overflow
+    exponent = int(np.frexp(np.abs(values).max())[1])
+    eig_sum = float(np.ldexp(np.sum(np.ldexp(values, -exponent)), exponent))
     diag_integral = diagonal_trace(spec, grid)
     return TraceFormulaReport(eig_sum=eig_sum, diag_integral=diag_integral,
                               residual=abs(eig_sum - diag_integral))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tracelab.kernels import (
+    KernelSpec,
     default_heat_truncation,
     diagonal_trace,
     eval_green,
@@ -220,6 +221,26 @@ def test_tabulated_symmetry_tolerance_is_relative_to_the_largest_entry():
     big = np.full((4, 4), 1e6)
     big[0, 1] += 1e-9
     assert np.abs(tabulated(big, g).values - 1e6).max() < 1e-9
+
+
+def test_reflective_is_set_when_made_and_not_passed():
+    assert green_dirichlet().reflective and heat_circle(0.05).reflective
+    with pytest.raises(TypeError):
+        KernelSpec(kind="green-dirichlet", reflective=False)
+    g = make_grid(TRAPEZOID, 5)
+    # even under x -> 1 - x up to an odd part max|T - JTJ| of 16u max|T|, then above it
+    table = np.ones((5, 5))
+    table[0, 1] = table[1, 0] = 1.0 - 2.0**-49
+    assert tabulated(table, g).reflective
+    table[0, 1] = table[1, 0] = 1.0 - 2.0**-48
+    assert not tabulated(table, g).reflective
+    # the centre row is the centre column, checked with the rows before it
+    table = np.ones((5, 5))
+    table[2, 0] = table[0, 2] = 2.0
+    assert not tabulated(table, g).reflective
+    # exactly even, and 4n max|T| finite, then not: the fold's pad could overflow
+    assert tabulated(np.full((5, 5), 8e306), g).reflective
+    assert not tabulated(np.full((5, 5), 1e307), g).reflective
 
 
 @pytest.mark.parametrize("make", [heat_circle])

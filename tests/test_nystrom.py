@@ -14,7 +14,7 @@ from tracelab.nystrom import (
     spectrum_to_csv,
     trace_formula_check,
 )
-from tracelab.quadrature import TRAPEZOID, inner_product, make_grid
+from tracelab.quadrature import MIDPOINT, TRAPEZOID, inner_product, make_grid
 
 
 def analytic_green_eigenvalue(k):
@@ -127,15 +127,16 @@ def test_lapack_gets_the_halves_in_the_discretized_buffer(monkeypatch, check):
 @pytest.mark.parametrize("block", [0, -1], ids=["outermost", "last before the centre"])
 def test_matrix_without_the_symmetry_reaches_lapack_unchanged(monkeypatch, n, block):
     # a Green table, even under x -> 1 - x except in one row block before
-    # the centre, the first or the last one the fold samples: the check
-    # must see every block, and the whole B, discretized once, must reach
-    # LAPACK as it would without the split
+    # the centre, the first or the last one the fold would sample: the
+    # table's check when it is made must see every block, and the whole B,
+    # discretized once, must reach LAPACK as it would without the split
     g = make_grid(TRAPEZOID, n)
     rows = row_blocks(n // 2, 2 * n)[block]  # as linalg._fold_halves reads them
     table = green_dirichlet().matrix(g)
     i, j = rows.start, rows.stop - 1
     table[i, j] = table[j, i] = table[i, j] + 1e-3
     spec = tabulated(table, g)
+    assert spec.reflective is False
     whole = np.linalg.eigvalsh(discretize(spec, g).entries)[::-1]
     assert _values(discretize(spec, g, split=True)).tobytes() == whole.tobytes()
     calls, discretized = [], nystrom.discretize
@@ -143,6 +144,33 @@ def test_matrix_without_the_symmetry_reaches_lapack_unchanged(monkeypatch, n, bl
                         lambda *a, **k: calls.append(k) or discretized(*a, **k))
     assert trace_formula_check(spec, g).eig_sum == float(np.sum(whole))
     assert calls == [{"split": True}]
+
+
+@pytest.mark.parametrize("n", [200, 201])
+def test_split_never_folds_a_table_without_the_symmetry(monkeypatch, n):
+    # the table says when it is made that it has no reflection symmetry, so
+    # its B is sampled once, whole, with no halves made and dropped
+    g = make_grid(TRAPEZOID, n)
+    table = np.random.default_rng(n).uniform(-1.0, 1.0, (n, n))
+    spec = tabulated(table + table.T, g)
+    folds = []
+    monkeypatch.setattr(nystrom, "_fold_halves", lambda *a: folds.append(a))
+    b = discretize(spec, g, split=True)
+    assert folds == []
+    assert b.entries.tobytes() == discretize(spec, g).entries.tobytes()
+
+
+@pytest.mark.parametrize("n", [101, 201], ids=["jacobi", "lapack"])
+def test_eigenvalue_sum_of_a_table_near_the_float_maximum_is_finite(n):
+    # eigenvalues near 1e307: np.sum of them overflowed to inf and then nan,
+    # with RuntimeWarnings, which the suite turns into errors
+    g = make_grid(MIDPOINT, n)
+    u = np.random.default_rng(0).uniform(-1.0, 1.0, (n, n))
+    spec = tabulated((u + u.T) * 0.85e308, g)
+    report = trace_formula_check(spec, g)
+    largest = np.abs(np.linalg.eigvalsh(discretize(spec, g).entries)).max()
+    assert math.isfinite(report.eig_sum) and math.isfinite(report.diag_integral)
+    assert report.residual <= 8.0 * n * n * 2.0**-53 * largest
 
 
 def parity_sums(n):

@@ -551,6 +551,49 @@ def test_green_values_are_the_closed_form(n, midpoint):
         assert np.abs(values - exact).max() <= tol
 
 
+def heat_circle_closed_form(spec, grid) -> np.ndarray:
+    """The heat-circle Nystrom eigenvalues, descending, from one FFT of the kernel row.
+
+    On the midpoint grid B is the circulant of the row over n.  On the
+    trapezoid grid nodes 0 and n-1 are one point of the circle: B has the
+    eigenvalues of the circulant of the first n-1 entries over n-1, and
+    a zero.
+    """
+    row, n = spec.row(grid), grid.n
+    if grid.kind == MIDPOINT:
+        values = np.fft.fft(row).real / n
+    else:
+        values = np.append(np.fft.fft(row[:n - 1]).real / (n - 1), 0.0)
+    return np.sort(values)[::-1]
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(n=st.integers(min_value=3, max_value=600), midpoint=st.booleans(),
+       t=st.floats(min_value=0.01, max_value=3.0))
+@example(n=3, midpoint=False, t=3.0)
+@example(n=600, midpoint=True, t=0.01)
+def test_heat_circle_values_are_the_closed_form(n, midpoint, t):
+    # measured: LAPACK within 1.0 n u max|lambda| for n 3-1201, t 0.01-3
+    g = make_grid(MIDPOINT if midpoint else TRAPEZOID, n)
+    spec = kernels.heat_circle(max(t, g.spacing**2 / 2.0))  # the narrowest `row` accepts
+    exact = heat_circle_closed_form(spec, g)
+    tol = 4.0 * n * 2.0**-53 * np.abs(exact).max()
+    assert np.abs(linalg._values(nystrom.discretize(spec, g, split=True)) - exact).max() <= tol
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(n=st.integers(min_value=2, max_value=600), midpoint=st.booleans(),
+       t=st.floats(min_value=1e-4, max_value=5.0))
+@example(n=2, midpoint=False, t=1.0)
+@example(n=600, midpoint=True, t=1e-4)
+def test_built_in_kernels_are_reflective_as_tables(n, midpoint, t):
+    # the built-in kinds say they are reflective without a check; the check
+    # a table of their values gets, max|T - JTJ| <= 16u max|T|, agrees
+    g = make_grid(MIDPOINT if midpoint else TRAPEZOID, n)
+    for spec in (kernels.green_dirichlet(), kernels.heat_circle(max(t, g.spacing**2 / 2.0))):
+        assert spec.reflective and kernels.tabulated(spec.matrix(g), g).reflective
+
+
 @settings(derandomize=True, deadline=None, max_examples=20)
 @given(n=st.integers(min_value=2, max_value=300), midpoint=st.booleans(),
        kind=st.sampled_from(["green", "gram", "indefinite"]), seed=SEEDS)
