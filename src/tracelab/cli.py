@@ -141,12 +141,11 @@ def _kernel_and_grid(args):
         spec = kernels.heat_circle(args.t)
     elif args.kernel.endswith(".csv"):
         spec = kernels.kernel_from_csv(args.kernel)
+        return spec, spec.grid
     else:
         raise ValueError(f"unknown kernel {args.kernel!r} "
                          "(green, heat-circle, or a .csv path)")
-    grid = spec.grid if spec.kind == kernels.TABULATED else \
-        _grid(args.grid, args.n, per_node=args.n, cap=_MAX_MATRIX)
-    return spec, grid
+    return spec, _grid(args.grid, args.n, per_node=args.n, cap=_MAX_MATRIX)
 
 
 def _cmd_trace_check(args):

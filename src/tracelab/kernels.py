@@ -1,16 +1,15 @@
-"""Symmetric integral kernels on the unit square.
+"""Symmetric integral kernels on the unit square, one class per kind.
 
-The three kernels the experiments use: the Dirichlet Green function of
--u'' on [0,1], the 1-periodized Gaussian heat kernel, and tabulated
-kernels, which are defined on the nodes of the grid they were sampled on
-and nowhere else.
+The Dirichlet Green function of -u'' on [0,1], the 1-periodized Gaussian
+heat kernel, and tabulated kernels, which are defined on the nodes of the
+grid they were sampled on and nowhere else; made by the factories below.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+import operator
 from typing import Callable
 
 import numpy as np
@@ -19,10 +18,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .fileio import read_csv
 from .linalg import SymMatrix, row_blocks
 from .quadrature import MIDPOINT, TRAPEZOID, Grid, integrate, make_grid
-
-GREEN = "green-dirichlet"
-HEAT_CIRCLE = "heat-circle"
-TABULATED = "tabulated"
 
 # Tail tolerance of the default heat-kernel truncation
 _HEAT_EPS = 1e-16
@@ -47,14 +42,18 @@ def eval_green(x, y):
     return float(out) if out.ndim == 0 else out
 
 
+def _check_heat_time(t: float) -> None:
+    if not 0.0 < t < math.inf:  # NaN too
+        raise ValueError(f"needs t > 0 and finite, got {t}")
+
+
 def default_heat_truncation(t: float) -> int:
     """Periodization cutoff ceil(1 + 8 sqrt(t) sqrt(-ln eps)), eps = _HEAT_EPS.
 
     Chosen so the dropped Gaussian tail is far below eps; see
     periodic_tail_bound for the bound actually guaranteed.
     """
-    if t <= 0.0:
-        raise ValueError(f"needs t > 0, got {t}")
+    _check_heat_time(t)
     return math.ceil(1.0 + 8.0 * math.sqrt(t) * math.sqrt(-math.log(_HEAT_EPS)))
 
 
@@ -65,8 +64,7 @@ def periodic_tail_bound(t: float, l_max: int) -> float:
     tail is at most 2 * K_t(0, l_max) * (1 + 2t / l_max), using the integral
     comparison sum_{m >= M} exp(-m^2/4t) <= exp(-M^2/4t) (1 + 2t/M).
     """
-    if t <= 0.0:
-        raise ValueError(f"needs t > 0, got {t}")
+    _check_heat_time(t)
     if l_max < 1:
         raise ValueError(f"needs l_max >= 1, got {l_max}")
     gaussian = float(np.exp(-float(l_max) ** 2 / (4.0 * t)) / math.sqrt(4.0 * math.pi * t))
@@ -78,8 +76,7 @@ def eval_heat_periodic(t: float, x, y, l_max: int):
 
     Summed in place by blocks of about 2**16 images below their running sum.
     """
-    if t <= 0.0:
-        raise ValueError(f"heat kernel needs t > 0, got {t}")
+    _check_heat_time(t)
     if l_max < 1:
         raise ValueError(f"periodization needs l_max >= 1, got {l_max}")
     gaps = np.subtract(x, y, dtype=float)
@@ -98,75 +95,78 @@ def eval_heat_periodic(t: float, x, y, l_max: int):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True, eq=False)
 class KernelSpec:
-    """A symmetric kernel sampled on grids; use the factory helpers below.
-
-    Tabulated kernels carry the grid they were sampled on and are defined
-    on its nodes only: sampling them on any other grid is refused.
+    """A symmetric kernel sampled on grids; one subclass per kind.
 
     Every kind samples finite values, and `nystrom.discretize` checks none:
-    Green on [0,1]^2, heat-circle for t > 0 and 1 <= l_max <= 10**4 (at
-    t >= 1e308 sqrt(4 pi t) overflows and the samples are 0), and a table
-    because it is checked when made, refused for a non-finite entry or an
-    asymmetry above 1e-12 of its largest |entry|.
+    Green on [0,1]^2, heat-circle for 0 < t < inf and 1 <= l_max <= 10**4
+    (at t >= 1e308 sqrt(4 pi t) overflows and the samples are 0), and a
+    table because it is checked when made, refused for a non-finite entry
+    or an asymmetry above 1e-12 of its largest |entry|.
 
-    `reflective`, set when made, says that each Nystrom matrix B equals JBJ
-    to round-off, J reversing the node order, and that the pad -4h max|B|
-    of `linalg._fold_halves` is finite: Green and heat-circle on both
-    grids, a table where max|T - JTJ| <= 16u max|T| and 4n max|T| is finite.
+    `reflective` says that each Nystrom matrix B equals JBJ to round-off,
+    J reversing the node order, and that the pad -4h max|B| of
+    `linalg._fold_halves` is finite: Green and heat-circle on both grids,
+    a table where max|T - JTJ| <= 16u max|T| and 4n max|T| is finite.
     """
 
-    kind: str
-    t: float | None = None
-    l_max: int | None = None
-    values: np.ndarray | None = None
-    grid: Grid | None = None
-    reflective: bool = field(init=False)
+    reflective = True
 
-    def __post_init__(self):
-        reflective = True
-        if self.kind == HEAT_CIRCLE:
-            if self.t is None or self.t <= 0.0:
-                raise ValueError(f"{self.kind} requires t > 0, got {self.t}")
-            if self.l_max is None or not 1 <= self.l_max <= _MAX_IMAGES:
-                raise ValueError(f"{self.kind} at t={self.t} requires 1 <= l_max <= "
-                                 f"{_MAX_IMAGES} images per side, got {self.l_max}")
-        elif self.kind == TABULATED:
-            if self.values is None or self.grid is None:
-                raise ValueError("tabulated kernel requires values and their grid")
-            vals = np.asarray(self.values, dtype=float)
-            n = self.grid.n
-            if vals.shape != (n, n):
-                raise ValueError(f"tabulated values must be {n}x{n}, got {vals.shape}")
-            # NaN if an entry is
-            scale = max(float(vals.max()), -float(vals.min()))
-            if not math.isfinite(scale):
-                # symmetrization spreads a bad entry to its mirror; name the first
-                bad = ~np.isfinite(vals)
-                x, y = self.grid.nodes[np.argwhere(bad | bad.T)[0]].tolist()
-                raise ValueError(f"kernel value is not finite at nodes ({x!r}, {y!r})")
-            table = SymMatrix(entries=vals)
-            if table.asymmetry > 1e-12 * scale:
-                raise ValueError(f"tabulated kernel is asymmetric by {table.asymmetry:.3e}, "
-                                 f"above 1e-12 of its largest value {scale:.3e}")
-            object.__setattr__(self, "values", table.entries)
-            # rows before the centre against their mirrors; the centre row is a column
-            reflective = math.isfinite(4.0 * n * scale) and all(
-                np.abs(table.entries[r] - table.entries[::-1, ::-1][r]).max()
-                <= _REFLECTION_ODD_TOL * scale for r in row_blocks(n // 2, n))
-        elif self.kind != GREEN:
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
-        object.__setattr__(self, "reflective", reflective)
+    def matrix(self, grid: Grid) -> np.ndarray:
+        """Kernel sampled at all node pairs of the given grid.
+
+        Green fills one new n x n array, heat-circle returns a read-only
+        Toeplitz view of its `row`, and a table its read-only table, for
+        its own grid only.
+        """
+        # no kind overrides matrix, so perfbench's one wrap of it sees every kind
+        return self._matrix(grid)
 
     def diag(self, grid: Grid) -> np.ndarray:
         """The kernel on the node pairs (x_i, x_i): the diagonal of `matrix`."""
-        if self.kind == GREEN:
-            return grid.nodes * (1.0 - grid.nodes)
-        if self.kind == HEAT_CIRCLE:
-            return np.full(grid.n, eval_heat_periodic(self.t, 0.0, 0.0, self.l_max))
         # a contiguous copy: np.dot sums a strided view in another order
         return np.diagonal(self.matrix(grid)).copy()
+
+    def sampler(self, grid: Grid) -> Callable[[slice, np.ndarray], np.ndarray]:
+        """Function of a row slice and a buffer that returns those rows of `matrix(grid)`.
+
+        Unless a kind forms its rows in the buffer, `matrix` is called once
+        and read-only views of it are returned, leaving the buffer alone.
+        """
+        table = self.matrix(grid)
+        return lambda rows, out: table[rows]
+
+
+class GreenDirichlet(KernelSpec):
+    """The Green function of -u'' with u(0) = u(1) = 0; see `eval_green`."""
+
+    kind = "green-dirichlet"
+
+    def _matrix(self, grid: Grid) -> np.ndarray:
+        out = np.empty((grid.n, grid.n))
+        for rows in row_blocks(grid.n):
+            _green_rows(grid.nodes, rows, out=out[rows])
+        return out
+
+    def diag(self, grid: Grid) -> np.ndarray:
+        return grid.nodes * (1.0 - grid.nodes)
+
+    def sampler(self, grid: Grid) -> Callable[[slice, np.ndarray], np.ndarray]:
+        # formed in the buffer, so no n x n array is made
+        return functools.partial(_green_rows, grid.nodes)
+
+
+class HeatCircle(KernelSpec):
+    """The heat kernel at time t on the circle, summed over l_max images per side."""
+
+    kind = "heat-circle"
+
+    def __init__(self, t: float, l_max: int):
+        _check_heat_time(t)
+        self.t, self.l_max = t, operator.index(l_max)
+        if not 1 <= self.l_max <= _MAX_IMAGES:
+            raise ValueError(f"{self.kind} at t={t} requires 1 <= l_max <= "
+                             f"{_MAX_IMAGES} images per side, got {l_max}")
 
     def row(self, grid: Grid) -> np.ndarray:
         """Heat kernel values k(x_m, x_0), m = 0..n-1, on a uniform grid.
@@ -177,43 +177,51 @@ class KernelSpec:
         sqrt(2t) of one node spacing the samples no longer represent the
         kernel, and spectral and kernel heat flow part ways.
         """
-        if self.kind != HEAT_CIRCLE:
-            raise ValueError(f"{self.kind} kernel is not a function of x - y")
         if math.sqrt(2.0 * self.t) < grid.spacing:
             raise ValueError(f"{self.kind} kernel at t={self.t} is narrower than the grid "
                              f"spacing {grid.spacing:.3g}; needs t >= spacing^2 / 2")
         return eval_heat_periodic(self.t, grid.nodes - grid.nodes[0], 0.0, self.l_max)
 
-    def matrix(self, grid: Grid) -> np.ndarray:
-        """Kernel sampled at all node pairs of the given grid.
+    def _matrix(self, grid: Grid) -> np.ndarray:
+        row = self.row(grid)
+        # window s of [c_{n-1}, ..., c_1, c_0, c_1, ..., c_{n-1}] is row n-1-s
+        return sliding_window_view(np.concatenate((row[:0:-1], row)), grid.n)[::-1]
 
-        The Green kernel fills one new n x n array.  The heat kernel
-        returns a read-only view of its row as the Toeplitz matrix
-        c[|i - j|], which is exactly symmetric; see `row` for what it
-        refuses.  A tabulated kernel returns its read-only table, and only
-        for the grid it was sampled on.
-        """
-        if self.kind == GREEN:
-            return _green_matrix(grid.nodes)
-        if self.kind == HEAT_CIRCLE:
-            row = self.row(grid)
-            # window s of [c_{n-1}, ..., c_1, c_0, c_1, ..., c_{n-1}] is row n-1-s
-            return sliding_window_view(np.concatenate((row[:0:-1], row)), grid.n)[::-1]
+    def diag(self, grid: Grid) -> np.ndarray:
+        return np.full(grid.n, eval_heat_periodic(self.t, 0.0, 0.0, self.l_max))
+
+
+class Tabulated(KernelSpec):
+    """A kernel table on the nodes of `grid`, symmetrized and checked when made."""
+
+    kind = "tabulated"
+
+    def __init__(self, values: np.ndarray, grid: Grid):
+        vals = np.asarray(values, dtype=float)
+        n = grid.n
+        if vals.shape != (n, n):
+            raise ValueError(f"tabulated values must be {n}x{n}, got {vals.shape}")
+        # NaN if an entry is
+        scale = max(float(vals.max()), -float(vals.min()))
+        if not math.isfinite(scale):
+            # symmetrization spreads a bad entry to its mirror; name the first
+            bad = ~np.isfinite(vals)
+            x, y = grid.nodes[np.argwhere(bad | bad.T)[0]].tolist()
+            raise ValueError(f"kernel value is not finite at nodes ({x!r}, {y!r})")
+        table = SymMatrix(entries=vals)
+        if table.asymmetry > 1e-12 * scale:
+            raise ValueError(f"tabulated kernel is asymmetric by {table.asymmetry:.3e}, "
+                             f"above 1e-12 of its largest value {scale:.3e}")
+        self.values, self.grid = table.entries, grid
+        # rows before the centre against their mirrors; the centre row is a column
+        self.reflective = math.isfinite(4.0 * n * scale) and all(
+            np.abs(table.entries[r] - table.entries[::-1, ::-1][r]).max()
+            <= _REFLECTION_ODD_TOL * scale for r in row_blocks(n // 2, n))
+
+    def _matrix(self, grid: Grid) -> np.ndarray:
         if grid != self.grid:
             raise ValueError("a tabulated kernel is defined on the nodes of its own grid only")
         return self.values
-
-    def sampler(self, grid: Grid) -> Callable[[slice, np.ndarray], np.ndarray]:
-        """Function of a row slice and a buffer that returns those rows of `matrix(grid)`.
-
-        Green rows are formed in the buffer, so no n x n array is made.
-        The other kinds call `matrix` once and return read-only views of
-        it, leaving the buffer alone.
-        """
-        if self.kind == GREEN:
-            return functools.partial(_green_rows, grid.nodes)
-        table = self.matrix(grid)
-        return lambda rows, out: table[rows]
 
 
 def _green_rows(nodes: np.ndarray, rows: slice, out: np.ndarray) -> np.ndarray:
@@ -228,16 +236,8 @@ def _green_rows(nodes: np.ndarray, rows: slice, out: np.ndarray) -> np.ndarray:
     return block
 
 
-def _green_matrix(nodes: np.ndarray) -> np.ndarray:
-    """eval_green on all node pairs, filled by row blocks into one array."""
-    out = np.empty((len(nodes), len(nodes)))
-    for rows in row_blocks(len(nodes)):
-        _green_rows(nodes, rows, out=out[rows])
-    return out
-
-
 def green_dirichlet() -> KernelSpec:
-    return KernelSpec(kind=GREEN)
+    return GreenDirichlet()
 
 
 def heat_circle(t: float, l_max: int | None = None) -> KernelSpec:
@@ -246,13 +246,13 @@ def heat_circle(t: float, l_max: int | None = None) -> KernelSpec:
         if l_max > _MAX_IMAGES:
             # the largest t whose default truncation stays within the cap
             t_cap = ((_MAX_IMAGES - 1) / (8.0 * math.sqrt(-math.log(_HEAT_EPS)))) ** 2
-            raise ValueError(f"{HEAT_CIRCLE} at t={t} needs more than {_MAX_IMAGES} images "
+            raise ValueError(f"{HeatCircle.kind} at t={t} needs more than {_MAX_IMAGES} images "
                              f"per side; the cap allows t <= {t_cap:.3g}")
-    return KernelSpec(kind=HEAT_CIRCLE, t=t, l_max=l_max)
+    return HeatCircle(t, l_max)
 
 
 def tabulated(values: np.ndarray, grid: Grid) -> KernelSpec:
-    return KernelSpec(kind=TABULATED, values=values, grid=grid)
+    return Tabulated(values, grid)
 
 
 def diagonal_trace(spec: KernelSpec, grid: Grid) -> float:

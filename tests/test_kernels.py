@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from tracelab.kernels import (
+    GreenDirichlet,
     KernelSpec,
+    Tabulated,
     default_heat_truncation,
     diagonal_trace,
     eval_green,
@@ -84,11 +86,13 @@ def test_heat_mass_one():
 
 
 def test_heat_rejects_bad_t():
-    for t in (0.0, -1.0):
-        with pytest.raises(ValueError):
+    for t in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="needs t > 0"):
             eval_heat_periodic(t, 0.1, 0.2, 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="needs t > 0"):
             periodic_tail_bound(t, 5)
+        with pytest.raises(ValueError, match="needs t > 0"):
+            default_heat_truncation(t)
 
 
 def test_periodic_truncation_insensitive():
@@ -179,10 +183,16 @@ def test_heat_image_blocks_keep_the_bits_of_the_per_image_sum(l_max, t):
 
 def test_kernel_spec_validation():
     g = make_grid(TRAPEZOID, 4)
-    with pytest.raises(ValueError):
-        heat_circle(-0.5)
+    for t in (-0.5, math.nan, math.inf):
+        for l_max in (None, 5):
+            with pytest.raises(ValueError, match="needs t > 0"):
+                heat_circle(t, l_max=l_max)
     with pytest.raises(ValueError):
         heat_circle(0.5, l_max=0)
+    # refused when made, not at the first sample; numpy integers are integers
+    with pytest.raises(TypeError):
+        heat_circle(0.1, l_max=2.5)
+    assert heat_circle(0.1, l_max=np.int64(3)).l_max == 3
     with pytest.raises(ValueError):
         tabulated(np.zeros((3, 3)), g)  # wrong size
     lopsided = np.zeros((4, 4))
@@ -225,9 +235,13 @@ def test_tabulated_symmetry_tolerance_is_relative_to_the_largest_entry():
 
 def test_reflective_is_set_when_made_and_not_passed():
     assert green_dirichlet().reflective and heat_circle(0.05).reflective
-    with pytest.raises(TypeError):
-        KernelSpec(kind="green-dirichlet", reflective=False)
     g = make_grid(TRAPEZOID, 5)
+    # each kind takes its own fields only, and the kind is its class
+    for make in (lambda: GreenDirichlet(reflective=False), lambda: GreenDirichlet(t=5.0),
+                 lambda: Tabulated(np.ones((5, 5)), g, reflective=False),
+                 lambda: KernelSpec(kind="green-dirichlet")):
+        with pytest.raises(TypeError):
+            make()
     # even under x -> 1 - x up to an odd part max|T - JTJ| of 16u max|T|, then above it
     table = np.ones((5, 5))
     table[0, 1] = table[1, 0] = 1.0 - 2.0**-49

@@ -426,10 +426,10 @@ def test_sampled_halves_are_the_halves_folded_from_b_bit_for_bit(n, midpoint, ki
 
 def reference_kernel(spec, grid):
     """The kernel on all node pairs, sampled without row blocks."""
-    if spec.kind == kernels.GREEN:
+    if spec.kind == "green-dirichlet":
         x, y = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
         return kernels.eval_green(x, y)
-    if spec.kind == kernels.HEAT_CIRCLE:
+    if spec.kind == "heat-circle":
         index = np.arange(grid.n)
         return spec.row(grid)[np.abs(index[:, None] - index[None, :])]
     return spec.values
@@ -476,8 +476,15 @@ def test_discretize_is_bit_identical_to_whole_array_reference(n, midpoint, kind,
        kind=st.sampled_from(["green", "heat-circle", "table"]),
        t=st.floats(min_value=1e-5, max_value=2.0), l_max=st.sampled_from([None, 1, 2, 7]),
        seed=SEEDS)
+@example(n=300, midpoint=False, kind="green", t=0.01, l_max=None, seed=0)  # two row blocks
+@example(n=300, midpoint=True, kind="green", t=0.01, l_max=None, seed=0)
+@example(n=300, midpoint=False, kind="heat-circle", t=0.01, l_max=None, seed=0)
+@example(n=300, midpoint=True, kind="heat-circle", t=0.01, l_max=None, seed=0)
+@example(n=300, midpoint=False, kind="table", t=0.01, l_max=None, seed=0)
+@example(n=300, midpoint=True, kind="table", t=0.01, l_max=None, seed=0)
 def test_diag_is_the_matrix_diagonal_bit_for_bit(n, midpoint, kind, t, l_max, seed):
-    # diagonal_trace integrates diag, so the trace check's two sides see the same values
+    # diagonal_trace integrates diag, so the trace check's two sides see the same values;
+    # sampler's rows are matrix's too, and only the base class's matrix is timed and counted
     g = make_grid(MIDPOINT if midpoint else TRAPEZOID, n)
     if kind == "green":
         spec = kernels.green_dirichlet()
@@ -489,6 +496,10 @@ def test_diag_is_the_matrix_diagonal_bit_for_bit(n, midpoint, kind, t, l_max, se
         spec = kernels.tabulated(table + table.T, g)
     diag = spec.diag(g)
     assert diag.flags.c_contiguous and same_bits(diag, np.diagonal(spec.matrix(g)).copy())
+    assert "matrix" not in vars(type(spec))
+    sample = spec.sampler(g)
+    rows = [sample(r, np.empty((r.stop - r.start, n))) for r in linalg.row_blocks(n)]
+    assert same_bits(np.concatenate(rows), np.asarray(spec.matrix(g)))
 
 
 @PROPERTY
