@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import write_csv
-from .kernels import diagonal_trace, heat_circle
+from .kernels import _check_heat_time, diagonal_trace, heat_circle
 from .quadrature import MIDPOINT, Grid, _check_sampled
 from .sturm import filtered_series, trig_modes
 
@@ -105,8 +105,7 @@ def heat_evolve(f: np.ndarray, grid: Grid, t: float, method: str = SPECTRAL,
     of the first power of two >= 2n - 1: the same sum as the dense matrix
     product, for any l_max.
     """
-    if t <= 0.0:
-        raise ValueError(f"heat evolution needs t > 0, got {t}")
+    _check_heat_time(t)
     if grid.kind != MIDPOINT:
         raise ValueError("heat_evolve expects a uniform-midpoint grid "
                          "(periodic sampling without duplicated endpoints)")
@@ -161,8 +160,7 @@ def heat_trace_check(t: float, grid: Grid) -> HeatTraceReport:
     of the periodized kernel diagonal, which is constant in x, so the
     residual probes the theta transformation identity itself.
     """
-    if t <= 0.0:
-        raise ValueError(f"heat trace needs t > 0, got {t}")
+    _check_heat_time(t)
     spectral_side = theta(4.0 * math.pi * t).value
     kernel_side = diagonal_trace(heat_circle(t), grid)
     return HeatTraceReport(spectral_side=spectral_side, kernel_side=kernel_side,

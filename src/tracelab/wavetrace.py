@@ -47,7 +47,7 @@ def rectangle_spectrum(a: float, b: float, mu_max: float) -> LaplaceSpectrum:
 
     An empty spectrum (mu_max below the fundamental) is valid.
     """
-    if a <= 0.0 or b <= 0.0 or mu_max <= 0.0:
+    if not (a > 0.0 and b > 0.0 and mu_max > 0.0):  # NaN too
         raise ValueError(f"need positive a, b, mu_max; got {a}, {b}, {mu_max}")
     # a side past the cap is refused alike, also one whose product overflowed to inf
     n_max, m_max = (math.floor(min(side * math.sqrt(mu_max) / math.pi, _MAX_LATTICE + 1))
@@ -196,7 +196,7 @@ class LengthMatchReport:
 
 
 def compare_lengths(peaks, spectrum: LengthSpectrum, tol: float) -> LengthMatchReport:
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN too
         raise ValueError(f"tolerance must be positive, got {tol}")
     peaks = np.asarray(peaks, dtype=float)
     lengths = spectrum.lengths

@@ -10,6 +10,9 @@ from tracelab.billiard import (
     CORNER_TOL,
     LENGTH_BUDGET,
     SEGMENT_DTYPE,
+    Disc,
+    Rectangle,
+    Table,
     disc,
     is_closed,
     length_spectrum,
@@ -108,12 +111,40 @@ def test_invalid_starts():
         simulate(disk, (2.0, 0.0), (-1.0, 0.0), 1.0)
     with pytest.raises(ValueError):
         simulate(disk, (1.0, 0.0), (1.0, 0.0), 1.0)  # on circle, outward
+    for table in (rectangle(1.0, 1.0), disk):
+        with pytest.raises(ValueError, match="start must be finite"):
+            simulate(table, (math.nan, 0.5), (1.0, 0.0), 1.0)  # would never reach a wall
+        with pytest.raises(ValueError, match="unit vector"):
+            simulate(table, (0.5, 0.5), (math.nan, 0.0), 1.0)
 
 
 @pytest.mark.parametrize("budget", [math.nan, math.inf])
 def test_nonfinite_budget_rejected(budget):
     with pytest.raises(ValueError, match="finite"):
         simulate(rectangle(1.0, 1.0), (0.5, 0.25), (1.0 / SQRT2, 1.0 / SQRT2), budget)
+
+
+@pytest.mark.parametrize("make, named", [
+    (lambda: rectangle(math.nan, 1.0), "a=nan"),
+    (lambda: rectangle(1.0, math.nan), "b=nan"),
+    (lambda: disc(math.nan), "got nan"),
+], ids=["rectangle-a", "rectangle-b", "disc-radius"])
+def test_nan_sizes_rejected_when_made(make, named):
+    # let through, a NaN side would make simulate run without end and a
+    # NaN radius give an empty length spectrum
+    with pytest.raises(ValueError, match=named):
+        make()
+
+
+def test_each_shape_is_its_own_class():
+    assert isinstance(rectangle(1.0, 2.0), Rectangle) and isinstance(disc(1.0), Disc)
+    assert issubclass(Rectangle, Table) and issubclass(Disc, Table)
+    assert vars(rectangle(1.0, 2.0)) == {"a": 1.0, "b": 2.0}
+    assert vars(disc(3.0)) == {"radius": 3.0}
+    with pytest.raises(TypeError):
+        Rectangle(1.0, 1.0, radius=2.0)
+    with pytest.raises(TypeError):
+        Disc(1.0, a=1.0)
 
 
 def test_budget_is_exhausted_exactly():

@@ -137,6 +137,17 @@ def test_heat_evolve_validation():
         heat_evolve(np.ones(16), trapezoid, 0.1)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, 0.0])
+def test_heat_time_checked_like_the_kernel(t):
+    # let through, t = NaN would make the spectral method return all NaN
+    g = make_grid(MIDPOINT, 16)
+    for method in (SPECTRAL, KERNEL):
+        with pytest.raises(ValueError, match="needs t > 0 and finite"):
+            heat_evolve(np.ones(16), g, t, method=method)
+    with pytest.raises(ValueError, match="needs t > 0 and finite"):
+        heat_trace_check(t, g)
+
+
 def test_semigroup_property():
     g = make_grid(MIDPOINT, 256)
     f = random_trig_sample(g, seed=2)

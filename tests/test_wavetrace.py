@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tracelab.billiard import LengthSpectrum, length_spectrum, rectangle
+from tracelab.billiard import LengthSpectrum, is_closed, length_spectrum, rectangle, simulate
 from tracelab.wavetrace import (
     compare_lengths,
     detect_peaks,
@@ -213,3 +213,21 @@ def test_spectrum_validation():
     full = rectangle_spectrum(1.0, 1.0, 100.0)
     with pytest.raises(ValueError):
         smoothed_wave_trace(full, np.linspace(0, 1, 10), -0.1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: is_closed(simulate(rectangle(1.0, 1.0), (0.5, 0.5), (0.0, 1.0), 3.0),
+                       (0.5, 0.5), (0.0, 1.0), tol=math.nan), "tolerance must be positive, got nan"),
+    (lambda: length_spectrum(rectangle(1.0, 1.0), math.nan), "l_max must be positive, got nan"),
+    (lambda: rectangle_spectrum(math.nan, 1.0, 100.0), "got nan, 1.0, 100.0"),
+    (lambda: rectangle_spectrum(1.0, math.nan, 100.0), "got 1.0, nan, 100.0"),
+    (lambda: rectangle_spectrum(1.0, 1.0, math.nan), "got 1.0, 1.0, nan"),
+    (lambda: compare_lengths(np.array([2.0]), length_spectrum(rectangle(1.0, 1.0), 6.0),
+                             math.nan), "tolerance must be positive, got nan"),
+], ids=["is_closed-tol", "length_spectrum-l_max", "rectangle_spectrum-a", "rectangle_spectrum-b",
+        "rectangle_spectrum-mu_max", "compare_lengths-tol"])
+def test_nan_is_not_a_positive_value(call, message):
+    # let through, NaN would give an empty or None result, report every peak
+    # spurious, or end in numpy's NaN-to-integer error
+    with pytest.raises(ValueError, match=message):
+        call()
