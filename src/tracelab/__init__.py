@@ -12,6 +12,7 @@ The CLI relies on this to set up numpy's environment before numpy loads.
 """
 
 import importlib
+import operator
 
 __version__ = "0.1.0"
 
@@ -49,3 +50,16 @@ def __getattr__(name):
 
 def __dir__():
     return sorted(set(globals()) | set(__all__))
+
+
+def _count(name: str, value, low: int, cap: int | None = None) -> int:
+    """The integer `value` in [low, cap], refused by `name` when it is not one."""
+    try:
+        count = operator.index(value)  # numpy integers too; not floats, NaN or strings
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if count < low:
+        raise ValueError(f"{name} must be >= {low}, got {count}")
+    if cap is not None and count > cap:
+        raise ValueError(f"{name}={count} is above the cap of {cap}")
+    return count

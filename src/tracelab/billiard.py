@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _count
 from .fileio import write_csv
 
 LENGTH_BUDGET = "length-budget"
@@ -176,11 +177,7 @@ class Disc(Table):
         circumference, so n is capped at max_bounces.
         """
         # the (n, q) pairs below number about max_bounces^2 / 4
-        if max_bounces < 2:
-            raise ValueError(f"max_bounces must be >= 2 (the diameter), got {max_bounces}")
-        if max_bounces > math.isqrt(_MAX_CANDIDATES):
-            raise ValueError(f"max_bounces={max_bounces} is above the cap of "
-                             f"{math.isqrt(_MAX_CANDIDATES)}")
+        max_bounces = _count("max_bounces", max_bounces, 2, math.isqrt(_MAX_CANDIDATES))
         for n in range(2, max_bounces + 1):
             for q in range(1, n // 2 + 1):
                 length = 2.0 * n * self.radius * math.sin(math.pi * q / n)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _count
 from .fileio import write_csv
 from .kernels import _check_heat_time, diagonal_trace, heat_circle
 from .quadrature import MIDPOINT, Grid, _check_sampled
@@ -113,8 +114,6 @@ def heat_evolve(f: np.ndarray, grid: Grid, t: float, method: str = SPECTRAL,
     if method == SPECTRAL:
         if k_max is None:
             k_max = (grid.n - 1) // 2
-        if k_max < 1:
-            raise ValueError(f"spectral method needs k_max >= 1, got {k_max}")
         mean = float(np.dot(grid.weights, values))
         with np.errstate(over="ignore"):  # mu t beyond the float range damps to 0
             return mean + filtered_series(values, grid, k_max, trig_modes,
@@ -135,8 +134,7 @@ def heat_evolve(f: np.ndarray, grid: Grid, t: float, method: str = SPECTRAL,
 
 def random_trig_sample(grid: Grid, modes: int = 5, seed: int = 0) -> np.ndarray:
     """Seeded random 1-periodic function: constant plus `modes` cos/sin pairs."""
-    if modes < 1:
-        raise ValueError(f"modes must be >= 1, got {modes}")
+    modes = _count("modes", modes, 1)
     rng = np.random.default_rng(seed)
     # the same stream as drawing the constant, then a_k and b_k in turn
     draws = rng.standard_normal(2 * modes + 1)

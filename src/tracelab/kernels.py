@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import _count
 from .fileio import read_csv
 from .linalg import SymMatrix, row_blocks
 from .quadrature import MIDPOINT, TRAPEZOID, Grid, integrate, make_grid
@@ -65,8 +65,7 @@ def periodic_tail_bound(t: float, l_max: int) -> float:
     comparison sum_{m >= M} exp(-m^2/4t) <= exp(-M^2/4t) (1 + 2t/M).
     """
     _check_heat_time(t)
-    if l_max < 1:
-        raise ValueError(f"needs l_max >= 1, got {l_max}")
+    l_max = _count("l_max", l_max, 1)
     gaussian = float(np.exp(-float(l_max) ** 2 / (4.0 * t)) / math.sqrt(4.0 * math.pi * t))
     return 2.0 * gaussian * (1.0 + 2.0 * t / l_max)
 
@@ -77,8 +76,7 @@ def eval_heat_periodic(t: float, x, y, l_max: int):
     Summed in place by blocks of about 2**16 images below their running sum.
     """
     _check_heat_time(t)
-    if l_max < 1:
-        raise ValueError(f"periodization needs l_max >= 1, got {l_max}")
+    l_max = _count("l_max", l_max, 1)
     gaps = np.subtract(x, y, dtype=float)
     # np.add.reduce adds the rows of two or more columns in turn, with the bits
     # of a loop over l, but one column pairwise: a lone column gets a twin
@@ -163,10 +161,7 @@ class HeatCircle(KernelSpec):
 
     def __init__(self, t: float, l_max: int):
         _check_heat_time(t)
-        self.t, self.l_max = t, operator.index(l_max)
-        if not 1 <= self.l_max <= _MAX_IMAGES:
-            raise ValueError(f"{self.kind} at t={t} requires 1 <= l_max <= "
-                             f"{_MAX_IMAGES} images per side, got {l_max}")
+        self.t, self.l_max = t, _count("l_max", l_max, 1, _MAX_IMAGES)
 
     def row(self, grid: Grid) -> np.ndarray:
         """Heat kernel values k(x_m, x_0), m = 0..n-1, on a uniform grid.

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import sturm
+from . import _count, sturm
 from .fileio import write_json
 from .kernels import green_dirichlet
 from .quadrature import TRAPEZOID, make_grid
@@ -47,9 +47,6 @@ def _partial_inverse_square_sum(k_max: int) -> float:
     added exactly by math.fsum, so the float error stays near eps.  Each
     chunk k = last, last-1, ... is computed in place in one reused buffer.
     """
-    if k_max > _MAX_BASEL_TERMS:
-        raise ValueError(f"k_max={k_max} exceeds the cap of {_MAX_BASEL_TERMS:.0e} "
-                         "terms of the Basel sum")
     steps = np.arange(_BASEL_CHUNK, dtype=float)
     buffer = np.empty(_BASEL_CHUNK)
     sums = []
@@ -77,10 +74,7 @@ def mercer_reconstruct(k_max: int, lattice_n: int) -> MercerReport:
     whatever k_max; k_max is capped by sturm._MAX_MODES and lattice_n by
     _MAX_LATTICE.
     """
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if not 2 <= lattice_n <= _MAX_LATTICE:
-        raise ValueError(f"lattice_n must be in [2, {_MAX_LATTICE}], got {lattice_n}")
+    lattice_n = _count("lattice_n", lattice_n, 2, _MAX_LATTICE)
     bins = sturm._folded_gains(math.pi**2, k_max, 2 * (lattice_n - 1), lambda mu: 1.0 / mu)
     c = np.fft.rfft(bins).real  # c_0 .. c_{L-1}; c_{M-m} = c_m gives the rest
     error = green_dirichlet().matrix(make_grid(TRAPEZOID, lattice_n))
@@ -112,9 +106,7 @@ def basel_via_trace(k_max: int) -> BaselReport:
     1/(pi^2 k^2); the remaining gap is bracketed by the integral
     comparison: 1/(k_max+1) < gap < 1/k_max.
     """
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    lhs = _partial_inverse_square_sum(k_max)
+    lhs = _partial_inverse_square_sum(_count("k_max", k_max, 1, _MAX_BASEL_TERMS))
     rhs = math.pi**2 / 6.0
     return BaselReport(lhs=lhs, rhs=rhs, gap=rhs - lhs)
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _count
 from .fileio import write_csv
 from .kernels import KernelSpec, diagonal_trace
 from .linalg import (
@@ -89,8 +90,7 @@ def operator_spectrum(spec: KernelSpec, grid: Grid, count: int) -> OperatorSpect
     reached at nodes of opposite sign, where round-off would pick the sign.
     For the Green kernel this gives the sines' positive slope at x = 0.
     """
-    if count < 1 or count > grid.n:
-        raise ValueError(f"count must be in [1, {grid.n}], got {count}")
+    count = _count("count", count, 1, grid.n)
     if grid.n <= JACOBI_SIZE_LIMIT:
         decomposition = jacobi_eigen(discretize(spec, grid))
     else:

@@ -11,9 +11,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _count
 
 TRAPEZOID = "uniform-trapezoid"
 MIDPOINT = "uniform-midpoint"
+# Cap on the nodes, as on the CLI's sampled values: a grid of 10**7 nodes
+# holds 160 MB of nodes and weights
+_MAX_NODES = 10**7
 
 
 @dataclass(frozen=True)
@@ -35,9 +39,7 @@ class Grid:
     weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.n
-        if n < 2:
-            raise ValueError(f"grid needs n >= 2, got {n}")
+        n = _count("n", self.n, 2, _MAX_NODES)
         if self.kind == TRAPEZOID:
             h = 1.0 / (n - 1)
             nodes = np.linspace(0.0, 1.0, n)
@@ -50,6 +52,7 @@ class Grid:
             raise ValueError(f"unknown grid kind {self.kind!r}")
         nodes.setflags(write=False)
         weights.setflags(write=False)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 

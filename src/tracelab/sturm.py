@@ -20,6 +20,7 @@ import math
 
 import numpy as np
 
+from . import _count
 from .fileio import write_csv
 from .quadrature import Grid, _check_sampled
 
@@ -64,8 +65,7 @@ def _folded_gains(mu_1: float, k_max: int, size: int, gain) -> np.ndarray:
     and exp(-mu t) are: the fold stops after the first block that ends in
     a gain of exactly 0, since every later gain is 0 too.
     """
-    if k_max > _MAX_MODES:
-        raise ValueError(f"k_max={k_max} exceeds the cap of {_MAX_MODES:.0e} modes")
+    k_max = _count("k_max", k_max, 1, _MAX_MODES)
     bins = np.zeros(size)
     for first in range(1, k_max + 1, _BLOCK_VALUES):
         k = np.arange(first, min(first + _BLOCK_VALUES, k_max + 1))
@@ -140,8 +140,6 @@ def solve_spectral(f: np.ndarray, grid: Grid, k_max: int) -> np.ndarray:
     product, scales coefficient k by 1/mu_k = 1/(pi k)^2, and resums on the
     grid.
     """
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
     values = _check_sampled(f, grid)
     return filtered_series(values, grid, k_max, sine_modes, lambda mu: 1.0 / mu)
 

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import _count
 from .billiard import LengthSpectrum
 from .fileio import write_csv, write_json
 
@@ -87,6 +88,8 @@ def smoothed_wave_trace(spectrum: LaplaceSpectrum, t_grid,
     if len(spectrum.eigenvalues) == 0:
         raise ValueError("cannot form a trace signal from an empty spectrum")
     t = np.asarray(t_grid, dtype=float)
+    if not np.isfinite(t).all():
+        raise ValueError(f"t_grid holds a time that is not finite: {t[~np.isfinite(t)].flat[0]}")
     freqs = np.sqrt(spectrum.eigenvalues)
     damping = np.exp(-spectrum.eigenvalues * sigma**2 / 2.0)
     times, back = np.unique(np.abs(t), return_inverse=True)
@@ -160,6 +163,17 @@ def spectral_tail_bound(spectrum: LaplaceSpectrum, sigma: float,
     return float(np.sum(np.exp(-extra * sigma**2 / 2.0)))
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median of a nonempty 1-d array, whose NaN check would load numpy.ma."""
+    half, odd = divmod(len(values), 2)
+    part = np.partition(values, (half - 1 + odd, half, -1))
+    if np.isnan(part[-1]):  # partition puts NaN last
+        return math.nan
+    # summed from 0.0, as np.mean sums, so a median of -0.0 is 0.0
+    middle = part[half] + 0.0 if odd else (part[half - 1] + part[half] + 0.0) / 2.0
+    return float(middle)
+
+
 def detect_peaks(signal: TraceSignal, window: int) -> np.ndarray:
     """Times of strict local maxima that clear the robust baseline.
 
@@ -167,15 +181,14 @@ def detect_peaks(signal: TraceSignal, window: int) -> np.ndarray:
     samples and the baseline median + 3 MAD of the scanned signal; t = 0
     never qualifies.
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    window = _count("window", window, 1)
     values = signal.values
     if len(values) < 2 * window + 1:
         raise ValueError(
             f"signal has {len(values)} samples, need at least {2 * window + 1}"
         )
-    median = float(np.median(values))
-    mad = float(np.median(np.abs(values - median)))
+    median = _median(values)
+    mad = _median(np.abs(values - median))
     threshold = median + 3.0 * mad
     windows = sliding_window_view(values, 2 * window + 1)
     centers = values[window:len(values) - window]

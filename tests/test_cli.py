@@ -4,6 +4,7 @@ import csv
 import importlib
 import io
 import json
+import math
 import os
 import re
 import signal
@@ -18,9 +19,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tracelab
-from tracelab import cli, kernels, mercer, nystrom
+from tracelab import billiard, cli, heat, kernels, mercer, nystrom, quadrature, sturm, wavetrace
 from tracelab.cli import main
-from tracelab.quadrature import TRAPEZOID, make_grid
+from tracelab.quadrature import MIDPOINT, TRAPEZOID, make_grid
 
 
 def run(capsys, *argv):
@@ -737,6 +738,71 @@ def test_bad_input_exits_fast_without_traceback(capsys, tmp_path, monkeypatch,
     assert named in line
     if "--kernel" in argv:  # no warning before it, and no usage line
         assert err == f"{line}\n"
+
+
+def _library_counts():
+    """{entry: (argument, low, cap, call of the entry on the argument)} for every count."""
+    grid, mid = make_grid(TRAPEZOID, 11), make_grid(MIDPOINT, 16)
+    signal = wavetrace.smoothed_wave_trace(wavetrace.rectangle_spectrum(1.0, 1.0, 2000.0),
+                                           np.linspace(0.0, 2.0, 41), 0.05)
+    return {
+        "length_spectrum": ("max_bounces", 2, math.isqrt(billiard._MAX_CANDIDATES),
+                            lambda v: billiard.length_spectrum(billiard.disc(1.0), 6.0, v)),
+        "random_trig_sample": ("modes", 1, None, lambda v: heat.random_trig_sample(mid, v)),
+        "periodic_tail_bound": ("l_max", 1, None, lambda v: kernels.periodic_tail_bound(0.1, v)),
+        "eval_heat_periodic": ("l_max", 1, None,
+                               lambda v: kernels.eval_heat_periodic(0.1, 0.0, 0.0, v)),
+        "heat_circle": ("l_max", 1, kernels._MAX_IMAGES,
+                        lambda v: kernels.heat_circle(0.1, l_max=v)),
+        "mercer_reconstruct lattice_n": ("lattice_n", 2, mercer._MAX_LATTICE,
+                                         lambda v: mercer.mercer_reconstruct(5, v)),
+        "mercer_reconstruct k_max": ("k_max", 1, sturm._MAX_MODES,
+                                     lambda v: mercer.mercer_reconstruct(v, 11)),
+        "basel_via_trace": ("k_max", 1, mercer._MAX_BASEL_TERMS, mercer.basel_via_trace),
+        "solve_spectral": ("k_max", 1, sturm._MAX_MODES,
+                           lambda v: sturm.solve_spectral(grid.nodes, grid, v)),
+        "filtered_series": ("k_max", 1, sturm._MAX_MODES, lambda v: sturm.filtered_series(
+            grid.nodes, grid, v, sturm.sine_modes, lambda mu: 1.0 / mu)),
+        "heat_evolve": ("k_max", 1, sturm._MAX_MODES,
+                        lambda v: heat.heat_evolve(mid.nodes, mid, 0.1, k_max=v)),
+        "make_grid": ("n", 2, quadrature._MAX_NODES, lambda v: make_grid(MIDPOINT, v)),
+        "detect_peaks": ("window", 1, None, lambda v: wavetrace.detect_peaks(signal, v)),
+        "operator_spectrum": ("count", 1, grid.n, lambda v: nystrom.operator_spectrum(
+            kernels.green_dirichlet(), grid, v)),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_library_counts()))
+def test_a_library_count_is_refused_by_name(entry):
+    # each non-integer used to end in a TypeError from range, a slice or
+    # np.arange, or in a nan result, and make_grid(MIDPOINT, 10**12) in a MemoryError
+    name, low, cap, call = _library_counts()[entry]
+    named = rf"^{name}( must be|=)"
+    with alarm([entry]):
+        # None picks the default where an entry has one
+        optional = entry in ("heat_circle", "heat_evolve")
+        for value in (math.nan, math.inf, 2.5, "3") + (() if optional else (None,)):
+            with pytest.raises(TypeError, match=rf"^{name} must be an integer, got "):
+                call(value)
+        for value in (low - 1, -10**12) + ((cap + 1, 10**12) if cap else ()):
+            with pytest.raises(ValueError, match=named):
+                call(value)
+        call(np.int64(low))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_wave_trace_time_that_is_not_finite_is_refused(bad):
+    # a NaN time used to give a NaN sample, and no error
+    spectrum = wavetrace.rectangle_spectrum(1.0, 1.0, 2000.0)
+    with pytest.raises(ValueError, match=f"^t_grid holds a time that is not finite: {bad}$"):
+        wavetrace.smoothed_wave_trace(spectrum, [1.0, bad, 2.0], 0.05)
+
+
+def test_wave_trace_leaves_numpy_ma_unloaded():
+    # np.median's NaN check imports numpy.ma, about 12 ms a process
+    code = ("import sys, tracelab.cli as cli; cli.main(['wave-trace']); "
+            "print('numpy.ma' in sys.modules)")
+    assert _fresh_python(code).splitlines()[-1] == "False"
 
 
 # option values whose every use keeps a run's work small: a size beyond the

@@ -234,6 +234,21 @@ def test_detect_peaks_matches_loop(levels, window, zero_at):
     assert np.array_equal(wavetrace.detect_peaks(signal, window), detect_peaks_loop(signal, window))
 
 
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(values=st.one_of(
+    st.lists(st.floats(allow_infinity=False, width=64), min_size=1, max_size=60),
+    # few levels, signed zeros and NaN: ties, -0.0 medians and the NaN check
+    st.lists(st.sampled_from([-0.0, 0.0, -1.5, 2.0, math.nan]), min_size=1, max_size=60),
+    st.integers(1, 1001).map(lambda n: list(np.random.default_rng(n).standard_normal(n)))))
+def test_median_is_numpys_bit_for_bit(values):
+    values = np.array(values)
+    with np.errstate(over="ignore"):  # two values near the float maximum sum to inf in both
+        expected = np.median(values)
+        got = wavetrace._median(values)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == expected.tobytes() or math.isnan(got) and np.isnan(expected)
+
+
 def compare_lengths_loop(peaks, lengths, tol):
     """The all-pairs greedy matching compare_lengths replaced, as its reference."""
     pairs = sorted((abs(p - L), i, j) for i, p in enumerate(peaks) for j, L in enumerate(lengths))
