@@ -12,6 +12,7 @@ The CLI relies on this to set up numpy's environment before numpy loads.
 """
 
 import importlib
+import math
 import operator
 
 __version__ = "0.1.0"
@@ -63,3 +64,16 @@ def _count(name: str, value, low: int, cap: int | None = None) -> int:
     if cap is not None and count > cap:
         raise ValueError(f"{name}={count} is above the cap of {cap}")
     return count
+
+
+def _positive(name: str, value, cap: float = math.inf):
+    """The real `value` in (0, cap], unchanged, refused by `name` when it is not one."""
+    try:
+        positive = 0.0 < value < math.inf  # False for NaN
+    except TypeError:
+        raise TypeError(f"{name} must be a real number, got {value!r}") from None
+    if not positive:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    if value > cap:
+        raise ValueError(f"{name}={value} is above the cap of {cap:g}")
+    return value

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _count
+from . import _count, _positive
 from .fileio import write_csv
 
 LENGTH_BUDGET = "length-budget"
@@ -53,9 +53,7 @@ class Rectangle(Table):
     """The rectangle [0,a] x [0,b]."""
 
     def __init__(self, a: float, b: float):
-        if not (a > 0.0 and b > 0.0):  # NaN too
-            raise ValueError(f"rectangle needs positive sides, got a={a} b={b}")
-        self.a, self.b = a, b
+        self.a, self.b = _positive("a", a), _positive("b", b)
 
     def _start(self, p, d, budget: float) -> float:
         a, b = self.a, self.b
@@ -133,9 +131,7 @@ class Disc(Table):
     """The disc of the given radius about the origin."""
 
     def __init__(self, radius: float):
-        if not radius > 0.0:  # NaN too
-            raise ValueError(f"disc needs a positive radius, got {radius}")
-        self.radius = radius
+        self.radius = _positive("radius", radius)
 
     def _start(self, p, d, budget: float) -> float:
         radius = self.radius
@@ -226,8 +222,7 @@ def simulate(table: Table, start, direction, length_budget: float) -> Trajectory
     reflection is defined there.  Each step runs on Python floats, which
     for a 2-vector cost less than numpy's per-call overhead.
     """
-    if not 0.0 < length_budget < math.inf:  # NaN or inf would never be spent
-        raise ValueError(f"length budget must be positive and finite, got {length_budget}")
+    _positive("length_budget", length_budget)  # NaN or inf would never be spent
     p = np.asarray(start, dtype=float)
     if p.shape != (2,):
         raise ValueError(f"start must be a point in the plane, got shape {p.shape}")
@@ -271,8 +266,7 @@ def is_closed(traj: Trajectory, start, direction, tol: float = 1e-9):
     same running direction, both within tol; returns a ClosedOrbit with
     that length, or None if the trajectory never closes within budget.
     """
-    if not tol > 0.0:  # NaN too
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _positive("tol", tol)
     p0 = np.asarray(start, dtype=float)
     d0 = _unit(direction)
     seg = traj.segments
@@ -310,8 +304,7 @@ def length_spectrum(table: Table, l_max: float, max_bounces: int = 64) -> Length
     A length within 1e-9 of the one before is dropped with its descriptor.
     Only a disc reads max_bounces.
     """
-    if not l_max > 0.0:  # NaN too
-        raise ValueError(f"l_max must be positive, got {l_max}")
+    _positive("l_max", l_max)
     lengths = []
     descriptors = []
     for length, descriptor in sorted(table._orbits(l_max, max_bounces)):

@@ -200,10 +200,9 @@ def _cmd_basel(args):
 
 
 def _cmd_bvp_compare(args):
-    from . import sturm
+    from . import _count, sturm
 
-    if args.trials < 1:
-        raise ValueError(f"bvp-compare needs at least one trial, got {args.trials}")
+    _count("trials", args.trials, 1)
     grid = _grid("trapezoid", args.n, per_node=sturm.FOURIER_MODES)
     work = args.trials * (sturm.FOURIER_MODES * args.n + args.kmax)
     if work > _MAX_TRIAL_WORK:
@@ -316,10 +315,9 @@ def _cmd_length_spectrum(args):
 
 
 def _cmd_wave_trace(args):
-    from . import billiard, wavetrace
+    from . import _positive, billiard, wavetrace
 
-    if args.t_step <= 0.0:
-        raise ValueError(f"t-step must be positive, got {args.t_step}")
+    _positive("t-step", args.t_step)
     if (args.t_max - args.t_min) / args.t_step > _MAX_TIME_STEPS:
         raise ValueError(f"t-step={args.t_step} gives more than {_MAX_TIME_STEPS} time "
                          "steps from t-min to t-max, the cap")

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _count
+from . import _count, _positive
 from .fileio import write_csv
-from .kernels import _check_heat_time, diagonal_trace, heat_circle
+from .kernels import diagonal_trace, heat_circle
 from .quadrature import MIDPOINT, Grid, _check_sampled
 from .sturm import filtered_series, trig_modes
 
@@ -53,8 +53,7 @@ def theta(s: float) -> ThetaEvaluation:
     refused: use the transformed side theta(1/s)/sqrt(s) instead, which
     converges fast exactly when this side does not.
     """
-    if not 0.0 < s < math.inf:  # NaN would never meet the term cutoff
-        raise ValueError(f"theta needs finite s > 0, got {s}")
+    _positive("s", s)  # NaN would never meet the term cutoff
     if _terms_needed(s) > _MAX_TERMS:
         raise ValueError(
             f"theta(s) at s={s} needs more than {_MAX_TERMS} terms; "
@@ -106,7 +105,7 @@ def heat_evolve(f: np.ndarray, grid: Grid, t: float, method: str = SPECTRAL,
     of the first power of two >= 2n - 1: the same sum as the dense matrix
     product, for any l_max.
     """
-    _check_heat_time(t)
+    _positive("t", t)
     if grid.kind != MIDPOINT:
         raise ValueError("heat_evolve expects a uniform-midpoint grid "
                          "(periodic sampling without duplicated endpoints)")
@@ -158,7 +157,7 @@ def heat_trace_check(t: float, grid: Grid) -> HeatTraceReport:
     of the periodized kernel diagonal, which is constant in x, so the
     residual probes the theta transformation identity itself.
     """
-    _check_heat_time(t)
+    _positive("t", t)
     spectral_side = theta(4.0 * math.pi * t).value
     kernel_side = diagonal_trace(heat_circle(t), grid)
     return HeatTraceReport(spectral_side=spectral_side, kernel_side=kernel_side,

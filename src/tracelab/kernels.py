@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import _count
+from . import _count, _positive
 from .fileio import read_csv
 from .linalg import SymMatrix, row_blocks
 from .quadrature import MIDPOINT, TRAPEZOID, Grid, integrate, make_grid
@@ -42,18 +42,13 @@ def eval_green(x, y):
     return float(out) if out.ndim == 0 else out
 
 
-def _check_heat_time(t: float) -> None:
-    if not 0.0 < t < math.inf:  # NaN too
-        raise ValueError(f"needs t > 0 and finite, got {t}")
-
-
 def default_heat_truncation(t: float) -> int:
     """Periodization cutoff ceil(1 + 8 sqrt(t) sqrt(-ln eps)), eps = _HEAT_EPS.
 
     Chosen so the dropped Gaussian tail is far below eps; see
     periodic_tail_bound for the bound actually guaranteed.
     """
-    _check_heat_time(t)
+    _positive("t", t)
     return math.ceil(1.0 + 8.0 * math.sqrt(t) * math.sqrt(-math.log(_HEAT_EPS)))
 
 
@@ -64,7 +59,7 @@ def periodic_tail_bound(t: float, l_max: int) -> float:
     tail is at most 2 * K_t(0, l_max) * (1 + 2t / l_max), using the integral
     comparison sum_{m >= M} exp(-m^2/4t) <= exp(-M^2/4t) (1 + 2t/M).
     """
-    _check_heat_time(t)
+    _positive("t", t)
     l_max = _count("l_max", l_max, 1)
     gaussian = float(np.exp(-float(l_max) ** 2 / (4.0 * t)) / math.sqrt(4.0 * math.pi * t))
     return 2.0 * gaussian * (1.0 + 2.0 * t / l_max)
@@ -75,7 +70,7 @@ def eval_heat_periodic(t: float, x, y, l_max: int):
 
     Summed in place by blocks of about 2**16 images below their running sum.
     """
-    _check_heat_time(t)
+    _positive("t", t)
     l_max = _count("l_max", l_max, 1)
     gaps = np.subtract(x, y, dtype=float)
     # np.add.reduce adds the rows of two or more columns in turn, with the bits
@@ -160,8 +155,7 @@ class HeatCircle(KernelSpec):
     kind = "heat-circle"
 
     def __init__(self, t: float, l_max: int):
-        _check_heat_time(t)
-        self.t, self.l_max = t, _count("l_max", l_max, 1, _MAX_IMAGES)
+        self.t, self.l_max = _positive("t", t), _count("l_max", l_max, 1, _MAX_IMAGES)
 
     def row(self, grid: Grid) -> np.ndarray:
         """Heat kernel values k(x_m, x_0), m = 0..n-1, on a uniform grid.

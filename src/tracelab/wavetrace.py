@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import _count
+from . import _count, _positive
 from .billiard import LengthSpectrum
 from .fileio import write_csv, write_json
 
@@ -48,8 +48,7 @@ def rectangle_spectrum(a: float, b: float, mu_max: float) -> LaplaceSpectrum:
 
     An empty spectrum (mu_max below the fundamental) is valid.
     """
-    if not (a > 0.0 and b > 0.0 and mu_max > 0.0):  # NaN too
-        raise ValueError(f"need positive a, b, mu_max; got {a}, {b}, {mu_max}")
+    a, b, mu_max = _positive("a", a), _positive("b", b), _positive("mu_max", mu_max)
     # a side past the cap is refused alike, also one whose product overflowed to inf
     n_max, m_max = (math.floor(min(side * math.sqrt(mu_max) / math.pi, _MAX_LATTICE + 1))
                     for side in (a, b))
@@ -83,8 +82,7 @@ def smoothed_wave_trace(spectrum: LaplaceSpectrum, t_grid,
     blocks of eigenvalues in ascending order, so repeated runs are bitwise
     identical and the workspace stays bounded.
     """
-    if not 0.0 < sigma <= _MAX_SIGMA:
-        raise ValueError(f"sigma={sigma} is outside (0, {_MAX_SIGMA:g}]")
+    _positive("sigma", sigma, _MAX_SIGMA)
     if len(spectrum.eigenvalues) == 0:
         raise ValueError("cannot form a trace signal from an empty spectrum")
     t = np.asarray(t_grid, dtype=float)
@@ -209,8 +207,7 @@ class LengthMatchReport:
 
 
 def compare_lengths(peaks, spectrum: LengthSpectrum, tol: float) -> LengthMatchReport:
-    if not tol > 0.0:  # NaN too
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _positive("tol", tol)
     peaks = np.asarray(peaks, dtype=float)
     lengths = spectrum.lengths
     # candidate pairs lie within a window of sorted lengths found by

@@ -125,9 +125,9 @@ def test_nonfinite_budget_rejected(budget):
 
 
 @pytest.mark.parametrize("make, named", [
-    (lambda: rectangle(math.nan, 1.0), "a=nan"),
-    (lambda: rectangle(1.0, math.nan), "b=nan"),
-    (lambda: disc(math.nan), "got nan"),
+    (lambda: rectangle(math.nan, 1.0), "^a must be positive and finite, got nan$"),
+    (lambda: rectangle(1.0, math.nan), "^b must be positive and finite, got nan$"),
+    (lambda: disc(math.nan), "^radius must be positive and finite, got nan$"),
 ], ids=["rectangle-a", "rectangle-b", "disc-radius"])
 def test_nan_sizes_rejected_when_made(make, named):
     # let through, a NaN side would make simulate run without end and a

@@ -177,7 +177,7 @@ def test_negative_numbers_in_exponent_notation_are_values(capsys, tmp_path):
     # read as options and exited 2 with "expected one argument"
     code, out, err = run(capsys, "heat-compare", "--t", "-1e-3")
     assert code == 2 and out == ""
-    assert "needs t > 0" in err
+    assert "t must be positive and finite, got -0.001" in err
     code, out, _ = run(capsys, "wave-trace", "--t-min", "-1e-3",
                        *SMALL_RUNS["wave-trace"])
     assert code == 0 and out.startswith("wave-trace")
@@ -683,8 +683,10 @@ NAMED_IN_ERROR = {
                                                                    "(peak, length) pairs",
     "bvp-compare --kmax 0": "k_max must be >= 1, got 0",
     "mercer --kmax 0": "k_max must be >= 1, got 0",
-    "wave-trace --tol 0": "tolerance must be positive, got 0.0",
-    "billiard --tol 0": "tolerance must be positive, got 0.0",
+    "wave-trace --tol 0": "tol must be positive and finite, got 0.0",
+    "billiard --tol 0": "tol must be positive and finite, got 0.0",
+    "wave-trace --t-step 0": "t-step must be positive and finite, got 0.0",
+    "bvp-compare --trials 0 --out {tmp}/bvp.csv": "trials must be >= 1, got 0",
     "billiard --start 0 0.5 --dir -1 0": "start on a vertical wall must point inward",
     "trace-check --kernel {tmp}/off-grid.csv": "off-grid.csv: CSV nodes match neither "
                                                 "uniform grid kind",

@@ -1,10 +1,20 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from tracelab.billiard import LengthSpectrum, is_closed, length_spectrum, rectangle, simulate
+from tracelab import cli, heat, kernels, wavetrace
+from tracelab.billiard import (
+    LengthSpectrum,
+    disc,
+    is_closed,
+    length_spectrum,
+    rectangle,
+    simulate,
+)
+from tracelab.quadrature import MIDPOINT, make_grid
 from tracelab.wavetrace import (
     compare_lengths,
     detect_peaks,
@@ -215,19 +225,70 @@ def test_spectrum_validation():
         smoothed_wave_trace(full, np.linspace(0, 1, 10), -0.1)
 
 
-@pytest.mark.parametrize("call, message", [
-    (lambda: is_closed(simulate(rectangle(1.0, 1.0), (0.5, 0.5), (0.0, 1.0), 3.0),
-                       (0.5, 0.5), (0.0, 1.0), tol=math.nan), "tolerance must be positive, got nan"),
-    (lambda: length_spectrum(rectangle(1.0, 1.0), math.nan), "l_max must be positive, got nan"),
-    (lambda: rectangle_spectrum(math.nan, 1.0, 100.0), "got nan, 1.0, 100.0"),
-    (lambda: rectangle_spectrum(1.0, math.nan, 100.0), "got 1.0, nan, 100.0"),
-    (lambda: rectangle_spectrum(1.0, 1.0, math.nan), "got 1.0, 1.0, nan"),
-    (lambda: compare_lengths(np.array([2.0]), length_spectrum(rectangle(1.0, 1.0), 6.0),
-                             math.nan), "tolerance must be positive, got nan"),
-], ids=["is_closed-tol", "length_spectrum-l_max", "rectangle_spectrum-a", "rectangle_spectrum-b",
-        "rectangle_spectrum-mu_max", "compare_lengths-tol"])
-def test_nan_is_not_a_positive_value(call, message):
+def _wave_trace_with_step(t_step):
+    args = cli.build_parser().parse_args(["wave-trace"])
+    args.t_step = t_step
+    return cli._cmd_wave_trace(args)
+
+
+def _positive_reals():
+    """{entry: (argument, cap, call of the entry on the argument)} for every positive real."""
+    square = rectangle(1.0, 1.0)
+    mid = make_grid(MIDPOINT, 16)
+    orbit = simulate(square, (0.5, 0.5), (0.0, 1.0), 3.0)
+    spectrum = rectangle_spectrum(1.0, 1.0, 2000.0)
+    return {
+        "rectangle-a": ("a", None, lambda v: rectangle(v, 1.0)),
+        "rectangle-b": ("b", None, lambda v: rectangle(1.0, v)),
+        # an infinite side gave an empty spectrum: 0 inf is NaN in hypot
+        "length_spectrum-infinite-side": ("a", None,
+                                          lambda v: length_spectrum(rectangle(v, 1.0), 6.0)),
+        "disc-radius": ("radius", None, disc),
+        "simulate-length_budget": ("length_budget", None,
+                                   lambda v: simulate(square, (0.5, 0.25), (0.6, 0.8), v)),
+        "is_closed-tol": ("tol", None, lambda v: is_closed(orbit, (0.5, 0.5), (0.0, 1.0), tol=v)),
+        "length_spectrum-l_max": ("l_max", None, lambda v: length_spectrum(square, v)),
+        "default_heat_truncation-t": ("t", None, kernels.default_heat_truncation),
+        "periodic_tail_bound-t": ("t", None, lambda v: kernels.periodic_tail_bound(v, 5)),
+        "eval_heat_periodic-t": ("t", None, lambda v: kernels.eval_heat_periodic(v, 0.1, 0.2, 5)),
+        "heat_circle-t": ("t", None, lambda v: kernels.heat_circle(v, l_max=5)),
+        "heat_evolve-t": ("t", None, lambda v: heat.heat_evolve(mid.nodes, mid, v)),
+        "heat_trace_check-t": ("t", None, lambda v: heat.heat_trace_check(v, mid)),
+        "theta-s": ("s", None, heat.theta),
+        "rectangle_spectrum-a": ("a", None, lambda v: rectangle_spectrum(v, 1.0, 100.0)),
+        "rectangle_spectrum-b": ("b", None, lambda v: rectangle_spectrum(1.0, v, 100.0)),
+        "rectangle_spectrum-mu_max": ("mu_max", None, lambda v: rectangle_spectrum(1.0, 1.0, v)),
+        "smoothed_wave_trace-sigma": ("sigma", wavetrace._MAX_SIGMA, lambda v: smoothed_wave_trace(
+            spectrum, np.linspace(0.0, 2.0, 41), v)),
+        "compare_lengths-tol": ("tol", None, lambda v: compare_lengths(
+            np.array([2.0]), length_spectrum(square, 6.0), v)),
+        "wave-trace-t-step": ("t-step", None, _wave_trace_with_step),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_positive_reals()))
+def test_nan_is_not_a_positive_value(entry):
     # let through, NaN would give an empty or None result, report every peak
-    # spurious, or end in numpy's NaN-to-integer error
-    with pytest.raises(ValueError, match=message):
-        call()
+    # spurious, or end in numpy's NaN-to-integer error; inf gave an empty
+    # spectrum, a None orbit or any peak paired with any length, and None or
+    # a string ended in a comparison's TypeError that named no argument
+    name, cap, call = _positive_reals()[entry]
+    for value in (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0):
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be positive and finite, "
+                                             rf"got {re.escape(str(value))}$"):
+            call(value)
+    for value in (None, "1"):
+        with pytest.raises(TypeError, match=rf"^{re.escape(name)} must be a real number, "
+                                            rf"got {re.escape(repr(value))}$"):
+            call(value)
+    if cap is not None:
+        with pytest.raises(ValueError, match="^" + re.escape(f"{name}={2 * cap} is above the "
+                                                             f"cap of {cap:g}") + "$"):
+            call(2 * cap)
+    refusal = re.escape(name) + "( must be positive and finite| must be a real number|=.* is above)"
+    for value in (5e-324, 1e300 if cap is None else cap):
+        try:
+            with np.errstate(over="ignore"):  # a tiny t overflows -d^2 / 4t to -inf, exp() to 0
+                call(value)
+        except ValueError as error:  # a work cap further on may still refuse it
+            assert not re.match(refusal, str(error))
