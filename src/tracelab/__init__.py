@@ -14,6 +14,7 @@ The CLI relies on this to set up numpy's environment before numpy loads.
 import importlib
 import math
 import operator
+import sys
 
 __version__ = "0.1.0"
 
@@ -53,6 +54,16 @@ def __dir__():
     return sorted(set(globals()) | set(__all__))
 
 
+def _shown(number) -> str:
+    """`number` in at most 24 characters, an integer of more to 4 digits; never raises."""
+    if not isinstance(number, int) or -10**23 < number < 10**23:
+        return str(number)
+    # scaled to about 1e300, which a float holds, also where floor(log10) is off by one
+    shift = max(math.floor(math.log10(abs(number))) - 300, 0)
+    mantissa, exponent = f"{number / 10**shift:.3e}".split("e")
+    return f"{mantissa}e+{int(exponent) + shift}"
+
+
 def _count(name: str, value, low: int, cap: int | None = None) -> int:
     """The integer `value` in [low, cap], refused by `name` when it is not one."""
     try:
@@ -60,20 +71,30 @@ def _count(name: str, value, low: int, cap: int | None = None) -> int:
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
     if count < low:
-        raise ValueError(f"{name} must be >= {low}, got {count}")
+        raise ValueError(f"{name} must be >= {low}, got {_shown(count)}")
     if cap is not None and count > cap:
-        raise ValueError(f"{name}={count} is above the cap of {cap}")
+        raise ValueError(f"{name}={_shown(count)} is above the cap of {_shown(cap)}")
     return count
 
 
 def _positive(name: str, value, cap: float = math.inf):
     """The real `value` in (0, cap], unchanged, refused by `name` when it is not one."""
     try:
-        positive = 0.0 < value < math.inf  # False for NaN
+        positive = 0.0 < value <= sys.float_info.max  # False for NaN, and an int past the floats
     except TypeError:
         raise TypeError(f"{name} must be a real number, got {value!r}") from None
     if not positive:
-        raise ValueError(f"{name} must be positive and finite, got {value}")
+        raise ValueError(f"{name} must be positive and finite, got {_shown(value)}")
     if value > cap:
-        raise ValueError(f"{name}={value} is above the cap of {cap:g}")
+        raise ValueError(f"{name}={_shown(value)} is above the cap of {_shown(cap)}")
     return value
+
+
+def _within(cause: dict, amount, unit: str, cap) -> None:
+    """Refuse `amount` of work in `unit` past `cap`, or NaN, naming the inputs in `cause`."""
+    if not amount <= cap:
+        if isinstance(amount, float) and math.isfinite(amount):
+            amount = math.ceil(amount)  # an estimate, shown in the whole units it takes
+        first, *more = (f"{name}={_shown(value)}" for name, value in cause.items())
+        inputs = f"{first} with {' and '.join(more)}" if more else first
+        raise ValueError(f"{inputs} needs {_shown(amount)} {unit}; the cap is {_shown(cap)}")

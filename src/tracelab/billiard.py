@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _count, _positive
+from . import _count, _positive, _within
 from .fileio import write_csv
 
 LENGTH_BUDGET = "length-budget"
@@ -113,13 +113,11 @@ class Rectangle(Table):
         The pairs (p, 0) and (0, q) are the bouncing-ball families;
         max_bounces is not used.
         """
-        # a side whose quotient passes the cap is refused alike, also one
-        # whose quotient overflowed to inf
-        p_max, q_max = (math.floor(min(l_max / (2.0 * side), _MAX_CANDIDATES))
+        # a quotient past 1e308, or one that overflowed to inf, counts as 1e308
+        p_max, q_max = (math.floor(min(l_max / (2.0 * side), 1e308))
                         for side in (self.a, self.b))
-        if (p_max + 1) * (q_max + 1) > _MAX_CANDIDATES:
-            raise ValueError(f"l_max={l_max} with a={self.a}, b={self.b} needs more "
-                             f"than {_MAX_CANDIDATES} winding pairs, the cap")
+        _within({"l_max": l_max, "a": self.a, "b": self.b}, (p_max + 1) * (q_max + 1),
+                "winding pairs", _MAX_CANDIDATES)
         for p in range(p_max + 1):
             for q in range(q_max + 1):
                 length = 2.0 * math.hypot(p * self.a, q * self.b)
@@ -134,9 +132,7 @@ class Disc(Table):
         self.radius = _positive("radius", radius)
 
     def _start(self, p, d, budget: float) -> float:
-        radius = self.radius
-        if radius > _MAX_RADIUS:
-            raise ValueError(f"disc radius={radius} is above the cap of {_MAX_RADIUS:g}")
+        radius = _positive("radius", self.radius, _MAX_RADIUS)
         (px, py), (dx, dy) = p, d
         r = math.hypot(px, py)
         if r > radius + _BOUNDARY_TOL:
@@ -229,10 +225,8 @@ def simulate(table: Table, start, direction, length_budget: float) -> Trajectory
     if not np.isfinite(p).all():  # a NaN start would never reach a wall
         raise ValueError(f"start must be finite, got {p.tolist()}")
     p, d = p.tolist(), _unit(direction).tolist()
-    bounces = table._start(p, d, length_budget)
-    if bounces > _MAX_SEGMENTS:
-        raise ValueError(f"length budget {length_budget} needs about {bounces:.3g} "
-                         f"bounces; the cap is {_MAX_SEGMENTS}")
+    _within({"length_budget": length_budget}, table._start(p, d, length_budget), "bounces",
+            _MAX_SEGMENTS)
     hit = table._hit
     rows = []  # (start_x, start_y, dir_x, dir_y, length), the SEGMENT_DTYPE layout
     spent = 0.0

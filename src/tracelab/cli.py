@@ -92,14 +92,12 @@ def _parse_floats(text: str) -> list[float]:
     return [finite(part) for part in text.split(",") if part]
 
 
-def _grid(name: str, n: int, per_node: int = 1, cap: int = _MAX_SAMPLES):
-    """The `name` grid of n nodes, refused when its sample of per_node values a node passes cap."""
-    from . import quadrature
+def _grid(name: str, n: int, per_node: int = 1, cap: int = _MAX_SAMPLES, **cause):
+    """The `name` grid of n nodes; n per_node values past cap are refused, naming n and `cause`."""
+    from . import _within, quadrature
 
-    if n * max(per_node, 1) > cap:
-        raise ValueError(f"n={n} needs {n * per_node:.4g} sampled values; the cap is {cap:.4g}")
-    kind = {"trapezoid": quadrature.TRAPEZOID, "midpoint": quadrature.MIDPOINT}[name]
-    return quadrature.make_grid(kind, n)
+    _within({"n": n} | cause, n * max(per_node, 1), "sampled values", cap)
+    return quadrature.make_grid(f"uniform-{name}", n)
 
 
 def _indefiniteness(spec, grid, mode: str) -> None:
@@ -200,14 +198,13 @@ def _cmd_basel(args):
 
 
 def _cmd_bvp_compare(args):
-    from . import _count, sturm
+    from . import _count, _within, sturm
 
     _count("trials", args.trials, 1)
     grid = _grid("trapezoid", args.n, per_node=sturm.FOURIER_MODES)
-    work = args.trials * (sturm.FOURIER_MODES * args.n + args.kmax)
-    if work > _MAX_TRIAL_WORK:
-        raise ValueError(f"trials={args.trials} at n={args.n} and k_max={args.kmax} need "
-                         f"{work:.4g} sampled values and gains; the cap is {_MAX_TRIAL_WORK:.4g}")
+    _within({"trials": args.trials, "n": args.n, "k_max": args.kmax},
+            args.trials * (sturm.FOURIER_MODES * args.n + args.kmax),
+            "sampled values and gains", _MAX_TRIAL_WORK)
     worst = -1.0
     worst_data = None
     for trial in range(args.trials):
@@ -236,14 +233,11 @@ def _cmd_theta(args):
 
 
 def _cmd_heat_compare(args):
-    from . import fileio, heat, kernels
+    from . import _within, fileio, heat, kernels
 
-    grid = _grid("midpoint", args.n, per_node=2 * args.modes + 1)
+    grid = _grid("midpoint", args.n, per_node=2 * args.modes + 1, modes=args.modes)
     l_max = kernels.heat_circle(args.t, l_max=args.lmax).l_max
-    gaussians = args.n * (2 * l_max + 1)
-    if gaussians > _MAX_GAUSSIANS:
-        raise ValueError(f"n={args.n} with l_max={l_max} needs {gaussians:.4g} Gaussians; "
-                         f"the cap is {_MAX_GAUSSIANS:.4g}")
+    _within({"n": args.n, "l_max": l_max}, args.n * (2 * l_max + 1), "Gaussians", _MAX_GAUSSIANS)
     f = heat.random_trig_sample(grid, modes=args.modes, seed=args.seed)
     spectral = heat.heat_evolve(f, grid, args.t, method=heat.SPECTRAL,
                                 k_max=args.kmax)
@@ -315,12 +309,11 @@ def _cmd_length_spectrum(args):
 
 
 def _cmd_wave_trace(args):
-    from . import _positive, billiard, wavetrace
+    from . import _positive, _within, billiard, wavetrace
 
     _positive("t-step", args.t_step)
-    if (args.t_max - args.t_min) / args.t_step > _MAX_TIME_STEPS:
-        raise ValueError(f"t-step={args.t_step} gives more than {_MAX_TIME_STEPS} time "
-                         "steps from t-min to t-max, the cap")
+    _within({"t-step": args.t_step, "t-min": args.t_min, "t-max": args.t_max},
+            (args.t_max - args.t_min) / args.t_step, "time steps", _MAX_TIME_STEPS)
     mu_max = args.mu_max
     if mu_max is None:
         mu_max = math.pi**2 * (80**2 + 1)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _count, _positive
+from . import _count, _positive, _within
 from .fileio import write_csv
 from .kernels import diagonal_trace, heat_circle
 from .quadrature import MIDPOINT, Grid, _check_sampled
@@ -54,11 +54,7 @@ def theta(s: float) -> ThetaEvaluation:
     converges fast exactly when this side does not.
     """
     _positive("s", s)  # NaN would never meet the term cutoff
-    if _terms_needed(s) > _MAX_TERMS:
-        raise ValueError(
-            f"theta(s) at s={s} needs more than {_MAX_TERMS} terms; "
-            "evaluate theta(1/s)/sqrt(s) instead"
-        )
+    _within({"s": s}, _terms_needed(s), "terms (theta(1/s)/sqrt(s) needs few)", _MAX_TERMS)
     total = 1.0
     k = 0
     while True:
@@ -80,9 +76,7 @@ def theta_transform_residual(s: float) -> float:
     _MAX_TERMS terms.
     """
     direct = theta(s).value
-    if s > _MAX_TRANSFORM_S:
-        raise ValueError(f"theta transform at s={s} needs theta(1/s) with more than "
-                         f"{_MAX_TERMS} terms; s <= {_MAX_TRANSFORM_S!r} is accepted")
+    _within({"s": s}, _terms_needed(1.0 / s), "terms of theta(1/s)", _MAX_TERMS)
     transformed = theta(1.0 / s).value / math.sqrt(s)
     return abs(direct - transformed)
 

@@ -12,11 +12,10 @@ import math
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from . import _count, _positive
+from . import _count, _positive, _within
 from .fileio import read_csv
-from .linalg import SymMatrix, row_blocks
+from .linalg import SymMatrix, row_blocks, symmetric_toeplitz
 from .quadrature import MIDPOINT, TRAPEZOID, Grid, integrate, make_grid
 
 # Tail tolerance of the default heat-kernel truncation
@@ -78,12 +77,14 @@ def eval_heat_periodic(t: float, x, y, l_max: int):
     columns = np.resize(gaps, max(gaps.size, 2))
     blocks = row_blocks(2 * l_max + 1, columns.size)
     work = np.zeros((blocks[0].stop + 1, columns.size))
-    for rows in blocks:
-        terms = work[1:rows.stop - rows.start + 1]
-        np.subtract(columns, np.arange(rows.start - l_max, rows.stop - l_max)[:, None], out=terms)
-        np.divide(np.square(terms, out=terms), -4.0 * t, out=terms)  # -(d^2) / (4t), bit for bit
-        np.exp(terms, out=terms)
-        work[0] = np.add.reduce(work[:len(terms) + 1])
+    with np.errstate(over="ignore"):  # at a tiny t, -(d^2) / (4t) is -inf, whose exp is 0
+        for rows in blocks:
+            terms = work[1:rows.stop - rows.start + 1]
+            np.subtract(columns, np.arange(rows.start - l_max, rows.stop - l_max)[:, None],
+                        out=terms)
+            np.divide(np.square(terms, out=terms), -4.0 * t, out=terms)  # -(d^2) / (4t), bitwise
+            np.exp(terms, out=terms)
+            work[0] = np.add.reduce(work[:len(terms) + 1])
     out = work[0, :gaps.size].reshape(gaps.shape) / math.sqrt(4.0 * math.pi * t)
     return float(out) if out.ndim == 0 else out
 
@@ -172,9 +173,7 @@ class HeatCircle(KernelSpec):
         return eval_heat_periodic(self.t, grid.nodes - grid.nodes[0], 0.0, self.l_max)
 
     def _matrix(self, grid: Grid) -> np.ndarray:
-        row = self.row(grid)
-        # window s of [c_{n-1}, ..., c_1, c_0, c_1, ..., c_{n-1}] is row n-1-s
-        return sliding_window_view(np.concatenate((row[:0:-1], row)), grid.n)[::-1]
+        return symmetric_toeplitz(self.row(grid))
 
     def diag(self, grid: Grid) -> np.ndarray:
         return np.full(grid.n, eval_heat_periodic(self.t, 0.0, 0.0, self.l_max))
@@ -232,11 +231,7 @@ def green_dirichlet() -> KernelSpec:
 def heat_circle(t: float, l_max: int | None = None) -> KernelSpec:
     if l_max is None:
         l_max = default_heat_truncation(t)
-        if l_max > _MAX_IMAGES:
-            # the largest t whose default truncation stays within the cap
-            t_cap = ((_MAX_IMAGES - 1) / (8.0 * math.sqrt(-math.log(_HEAT_EPS)))) ** 2
-            raise ValueError(f"{HeatCircle.kind} at t={t} needs more than {_MAX_IMAGES} images "
-                             f"per side; the cap allows t <= {t_cap:.3g}")
+        _within({"t": t}, l_max, f"{HeatCircle.kind} images per side", _MAX_IMAGES)
     return HeatCircle(t, l_max)
 
 

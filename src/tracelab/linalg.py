@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class NumericalError(RuntimeError):
@@ -25,6 +26,11 @@ def row_blocks(n: int, width: int | None = None) -> list[slice]:
     """Consecutive slices of n rows of `width` entries (default n), about 2**16 entries each."""
     step = max(1, _BLOCK_ENTRIES // max(n if width is None else width, 1))
     return [slice(first, min(first + step, n)) for first in range(0, n, step)]
+
+
+def symmetric_toeplitz(row: np.ndarray) -> np.ndarray:
+    """Read-only [row[|i - j|]]: window s of [row[n-1], .., row[0], .., row[n-1]] is row n-1-s."""
+    return sliding_window_view(np.concatenate((row[:0:-1], row)), len(row))[::-1]
 
 
 def symmetrize_in_place(a: np.ndarray) -> float:

@@ -18,6 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import _count, sturm
 from .fileio import write_json
 from .kernels import green_dirichlet
+from .linalg import symmetric_toeplitz
 from .quadrature import TRAPEZOID, make_grid
 
 # Basel terms per chunk, and the work cap on k_max: 10**8 terms take about
@@ -78,9 +79,8 @@ def mercer_reconstruct(k_max: int, lattice_n: int) -> MercerReport:
     bins = sturm._folded_gains(math.pi**2, k_max, 2 * (lattice_n - 1), lambda mu: 1.0 / mu)
     c = np.fft.rfft(bins).real  # c_0 .. c_{L-1}; c_{M-m} = c_m gives the rest
     error = green_dirichlet().matrix(make_grid(TRAPEZOID, lattice_n))
-    # window s of [c_{L-1}, ..., c_1, c_0, c_1, ..., c_{L-1}] is row L-1-s of
-    # c[|i-j|], and window i of [c_0, ..., c_{L-1}, ..., c_0] is row i of c[i+j]
-    error -= sliding_window_view(np.concatenate((c[:0:-1], c)), lattice_n)[::-1]
+    # window i of [c_0, ..., c_{L-1}, ..., c_0] is row i of c[i+j]
+    error -= symmetric_toeplitz(c)
     error += sliding_window_view(np.concatenate((c, c[-2::-1])), lattice_n)
     sup_error = float(np.abs(error, out=error).max())
     return MercerReport(

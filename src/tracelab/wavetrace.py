@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import _count, _positive
+from . import _count, _positive, _shown, _within
 from .billiard import LengthSpectrum
 from .fileio import write_csv, write_json
 
@@ -49,11 +49,10 @@ def rectangle_spectrum(a: float, b: float, mu_max: float) -> LaplaceSpectrum:
     An empty spectrum (mu_max below the fundamental) is valid.
     """
     a, b, mu_max = _positive("a", a), _positive("b", b), _positive("mu_max", mu_max)
-    # a side past the cap is refused alike, also one whose product overflowed to inf
-    n_max, m_max = (math.floor(min(side * math.sqrt(mu_max) / math.pi, _MAX_LATTICE + 1))
+    # a product past 1e308, or one that overflowed to inf, counts as 1e308
+    n_max, m_max = (math.floor(min(side * math.sqrt(mu_max) / math.pi, 1e308))
                     for side in (a, b))
-    if n_max * m_max > _MAX_LATTICE:
-        raise ValueError(f"mu_max={mu_max} needs more than {_MAX_LATTICE} (n, m) pairs, the cap")
+    _within({"mu_max": mu_max, "a": a, "b": b}, n_max * m_max, "(n, m) pairs", _MAX_LATTICE)
     if n_max < 1 or m_max < 1:
         return LaplaceSpectrum(a=a, b=b, mu_max=mu_max, eigenvalues=np.empty(0))
     n = np.arange(1, n_max + 1)
@@ -183,7 +182,7 @@ def detect_peaks(signal: TraceSignal, window: int) -> np.ndarray:
     values = signal.values
     if len(values) < 2 * window + 1:
         raise ValueError(
-            f"signal has {len(values)} samples, need at least {2 * window + 1}"
+            f"signal has {len(values)} samples, need at least {_shown(2 * window + 1)}"
         )
     median = _median(values)
     mad = _median(np.abs(values - median))
@@ -219,9 +218,7 @@ def compare_lengths(peaks, spectrum: LengthSpectrum, tol: float) -> LengthMatchR
     hi = np.searchsorted(ranked, peaks + 2.0 * tol, side="right")
     counts = hi - lo
     pairs = int(counts.sum())
-    if pairs > _MAX_PAIRS:
-        raise ValueError(f"tol={tol} puts {pairs} (peak, length) pairs within 2 tol; "
-                         f"the cap is {_MAX_PAIRS}")
+    _within({"tol": tol}, pairs, "(peak, length) pairs within 2 tol", _MAX_PAIRS)
     peak_of = np.repeat(np.arange(len(peaks)), counts)
     rank = np.arange(pairs) - np.repeat(np.cumsum(counts) - counts - lo, counts)
     length_of = order[rank]

@@ -617,6 +617,16 @@ BAD_INPUTS = [
     (["billiard", "--start", "0", "0.5", "--dir", "-1", "0"], 2),
     (["trace-check", "--kernel", "{tmp}/off-grid.csv"], 2),
 ]
+# every integer option at 10**400 and -10**400, beyond the float range: refusals
+# that formatted one as a float ended in an OverflowError, and others printed all
+# its digits (basel's --kmax is run unpatched in test_basel_beyond_the_cap_exits_fast)
+HUGE = str(10**400)
+BAD_INPUTS += [([*argv, sign + "{huge}"], 2) for sign in ("", "-") for argv in (
+    ["trace-check", "--n"], ["spectrum", "--n"], ["heat-trace", "--n"], ["heat-compare", "--n"],
+    ["bvp-compare", "--n"], ["spectrum", "--count"], ["bvp-compare", "--trials"],
+    ["mercer", "--kmax"], ["bvp-compare", "--kmax"], ["heat-compare", "--kmax"],
+    ["heat-compare", "--lmax"], ["heat-compare", "--modes"], ["mercer", "--lattice-n"],
+    ["length-spectrum", "--shape", "disc", "--max-bounces"], ["wave-trace", "--window"])]
 
 # kernel tables with a fault; the others have 3 nodes, on the trapezoid grid but for off-grid.csv
 BAD_TABLES = {
@@ -643,25 +653,31 @@ NAMED_IN_ERROR = {
     "wave-trace --mu-max 1e10": "mu_max=",
     "wave-trace --a 1e308 --mu-max 1e10": "mu_max=",
     "wave-trace --t-step 1e-7": "t-step=",
-    "wave-trace --t-min=-1e308 --t-max=1e308": "from t-min to t-max",
+    "wave-trace --t-min=-1e308 --t-max=1e308": "t-min=-1e+308 and t-max=1e+308 needs inf "
+                                               "time steps",
     "heat-compare --modes 0": "modes",
     "heat-compare --modes -1": "modes",
     "length-spectrum --shape disc --max-bounces 1": "max_bounces",
     "length-spectrum --shape disc --max-bounces -5": "max_bounces",
-    "trace-check --n 100000": "n=100000 needs 1e+10 sampled values; the cap is 1.601e+07",
-    "spectrum --n 30000 --count 1": "n=30000 needs 9e+08 sampled values; the cap is 1.601e+07",
-    "heat-compare --n 100000000": "n=100000000 needs 1.1e+09 sampled values; the cap is 1e+07",
-    "heat-compare --modes 100000000": "n=512 needs 1.024e+11 sampled values; the cap is 1e+07",
-    "heat-trace --n 100000000": "n=100000000 needs 1e+08 sampled values; the cap is 1e+07",
-    "bvp-compare --n 1000000": "n=1000000 needs 3e+07 sampled values; the cap is 1e+07",
-    "heat-compare --n 900000 --lmax 10000": "n=900000 with l_max=10000 needs 1.8e+10 "
-                                            "Gaussians; the cap is 2e+08",
-    "heat-compare --t 40000 --n 100000": "n=100000 with l_max=9713 needs 1.943e+09 "
-                                         "Gaussians; the cap is 2e+08",
-    "bvp-compare --trials 1000000000": "trials=1000000000 at n=1001 and k_max=500 need "
-                                       "3.053e+13 sampled values and gains; the cap is 2e+08",
-    "bvp-compare --n 101 --kmax 100000000 --trials 3": "trials=3 at n=101 and "
-                                                        "k_max=100000000 need 3e+08",
+    "trace-check --n 100000": "n=100000 needs 10000000000 sampled values; the cap is 16008001",
+    "spectrum --n 30000 --count 1": "n=30000 needs 900000000 sampled values; "
+                                    "the cap is 16008001",
+    "heat-compare --n 100000000": "n=100000000 with modes=5 needs 1100000000 sampled values; "
+                                  "the cap is 10000000",
+    "heat-compare --modes 100000000": "n=512 with modes=100000000 needs 102400000512 sampled "
+                                      "values; the cap is 10000000",
+    "heat-trace --n 100000000": "n=100000000 needs 100000000 sampled values; "
+                                "the cap is 10000000",
+    "bvp-compare --n 1000000": "n=1000000 needs 30000000 sampled values; the cap is 10000000",
+    "heat-compare --n 900000 --lmax 10000": "n=900000 with l_max=10000 needs 18000900000 "
+                                            "Gaussians; the cap is 200000000",
+    "heat-compare --t 40000 --n 100000": "n=100000 with l_max=9713 needs 1942700000 "
+                                         "Gaussians; the cap is 200000000",
+    "bvp-compare --trials 1000000000": "trials=1000000000 with n=1001 and k_max=500 needs "
+                                       "30530000000000 sampled values and gains; "
+                                       "the cap is 200000000",
+    "bvp-compare --n 101 --kmax 100000000 --trials 3": "trials=3 with n=101 and "
+                                                        "k_max=100000000 needs 300009090",
     "trace-check --kernel {tmp}/header-only.csv": "header-only.csv has no data rows",
     "trace-check --kernel {tmp}/ragged.csv": "ragged.csv: the number of columns changed "
                                               "from 4 to 3 at row 2",
@@ -679,7 +695,7 @@ NAMED_IN_ERROR = {
     "length-spectrum --b 5e-324": "b=5e-324",
     "length-spectrum --a 5e-324": "a=5e-324",
     "wave-trace --sigma 1e200": "sigma=1e+200",
-    "wave-trace --t-max 600 --t-step 0.06 --window 1 --tol 1000": "tol=1000.0 puts 7260158 "
+    "wave-trace --t-max 600 --t-step 0.06 --window 1 --tol 1000": "tol=1000.0 needs 7260158 "
                                                                    "(peak, length) pairs",
     "bvp-compare --kmax 0": "k_max must be >= 1, got 0",
     "mercer --kmax 0": "k_max must be >= 1, got 0",
@@ -690,6 +706,15 @@ NAMED_IN_ERROR = {
     "billiard --start 0 0.5 --dir -1 0": "start on a vertical wall must point inward",
     "trace-check --kernel {tmp}/off-grid.csv": "off-grid.csv: CSV nodes match neither "
                                                 "uniform grid kind",
+    "trace-check --n {huge}": "n=1.000e+400 needs 1.000e+800 sampled values; "
+                              "the cap is 16008001",
+    "trace-check --n -{huge}": "n must be >= 2, got -1.000e+400",
+    "heat-compare --modes {huge}": "n=512 with modes=1.000e+400 needs 1.024e+403 sampled values",
+    "bvp-compare --trials {huge}": "trials=1.000e+400 with n=1001 and k_max=500 needs "
+                                   "3.053e+404 sampled values and gains",
+    "bvp-compare --kmax {huge}": "trials=20 with n=1001 and k_max=1.000e+400 needs 2.000e+401",
+    "spectrum --count {huge}": "count=1.000e+400 is above the cap of 401",
+    "wave-trace --window {huge}": "signal has 2351 samples, need at least 2.000e+400",
 }
 
 
@@ -727,7 +752,7 @@ def test_bad_input_exits_fast_without_traceback(capsys, tmp_path, monkeypatch,
         (tmp_path / name).write_bytes(text.encode())
     (tmp_path / "list.json").write_text("[1]")
     named = NAMED_IN_ERROR.get(" ".join(argv), "")
-    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    argv = [arg.replace("{tmp}", str(tmp_path)).replace("{huge}", HUGE) for arg in argv]
     code, out, err = run_under_alarm(capsys, argv)
     assert code == expected
     assert "Traceback" not in err
@@ -877,11 +902,14 @@ def test_heat_flow_work_stops_where_the_gains_underflow(capsys):
 
 def test_basel_beyond_the_cap_exits_fast(capsys):
     # unpatched: the work cap refuses k_max before any term is summed
-    start = time.perf_counter()
-    code, out, err = run(capsys, "basel", "--kmax", "10000000000")
-    assert time.perf_counter() - start < 1.0
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and "cap" in err
+    for k_max, refusal in (("10000000000", "k_max=10000000000 is above the cap of 1000000000"),
+                           (HUGE, "k_max=1.000e+400 is above the cap of 1000000000"),
+                           ("-" + HUGE, "k_max must be >= 1, got -1.000e+400")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "basel", "--kmax", k_max)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == f"error: {refusal}\n"
 
 
 def test_huge_tabulated_kernel_spectrum(capsys, tmp_path, recwarn, write_kernel_csv):

@@ -181,6 +181,16 @@ def test_heat_image_blocks_keep_the_bits_of_the_per_image_sum(l_max, t):
         assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
 
+def test_a_tiny_heat_time_sums_without_an_overflow_warning():
+    # -(d^2) / (4t) overflowed to -inf with a RuntimeWarning, an error under
+    # the test settings; exp(-inf) is the right 0, and the bits stay the same
+    for x, y in ((0.1, 0.2), (0.3, 0.3), (make_grid(MIDPOINT, 8).nodes, 0.0)):
+        got = eval_heat_periodic(5e-324, x, y, 5)
+        with np.errstate(over="ignore"):
+            expected = per_image_periodic(5e-324, x, y, 5)
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
 def test_kernel_spec_validation():
     g = make_grid(TRAPEZOID, 4)
     for t in (-0.5, math.nan, math.inf):

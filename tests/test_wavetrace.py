@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import tracelab
 from tracelab import cli, heat, kernels, wavetrace
 from tracelab.billiard import (
     LengthSpectrum,
@@ -56,6 +57,30 @@ def test_lattice_cap_counts_the_pairs_before_building_them():
             rectangle_spectrum(a, b, mu_max)
     # a side below the fundamental empties the lattice, however long the other
     assert len(rectangle_spectrum(1e308, 1e-8, 1e10).eigenvalues) == 0
+
+
+def test_the_lattice_cap_names_the_sides_that_set_it():
+    # a side too large was blamed on mu_max alone
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "mu_max=100.0 with a=1e+150 and b=1.0 needs 9.549e+150 (n, m) pairs; "
+            "the cap is 1000000") + "$"):
+        rectangle_spectrum(1e150, 1.0, 100.0)
+    # an integer side beyond the floats ended in an OverflowError
+    with pytest.raises(ValueError, match=r"^a must be positive and finite, got 1\.000e\+400$"):
+        rectangle_spectrum(10**400, 1.0, 100.0)
+
+
+def test_a_work_cap_refuses_nan_and_names_huge_integers_briefly():
+    with pytest.raises(ValueError, match=r"^x=1 needs nan units; the cap is 10$"):
+        tracelab._within({"x": 1}, math.nan, "units", 10)
+    # past 4300 digits str() of an integer raises; past the floats, so does a float format
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "n=1.000e+5000 with k=-1.000e+5000 needs 9.999e+9999 units; the cap is 1.000e+23")):
+        tracelab._within({"n": 10**5000, "k": -(10**5000)}, 9999 * 10**9996, "units", 10**23)
+    with pytest.raises(ValueError, match=r"^x=1 needs 11 units; the cap is 10$"):
+        tracelab._within({"x": 1}, 10.2, "units", 10)  # an estimate, rounded up
+    tracelab._within({"x": 1}, 10, "units", 10)  # the cap itself is within it
+    tracelab._within({"x": 1}, -(10**5000), "units", 10)
 
 
 def test_eigenfunction_against_finite_differences():
@@ -287,8 +312,7 @@ def test_nan_is_not_a_positive_value(entry):
             call(2 * cap)
     refusal = re.escape(name) + "( must be positive and finite| must be a real number|=.* is above)"
     for value in (5e-324, 1e300 if cap is None else cap):
-        try:
-            with np.errstate(over="ignore"):  # a tiny t overflows -d^2 / 4t to -inf, exp() to 0
-                call(value)
+        try:  # without a warning, which the test settings make an error
+            call(value)
         except ValueError as error:  # a work cap further on may still refuse it
             assert not re.match(refusal, str(error))
