@@ -168,8 +168,6 @@ class Disc(Table):
         n = 2 is the diameter.  The lengths accumulate at multiples of the
         circumference, so n is capped at max_bounces.
         """
-        # the (n, q) pairs below number about max_bounces^2 / 4
-        max_bounces = _count("max_bounces", max_bounces, 2, math.isqrt(_MAX_CANDIDATES))
         for n in range(2, max_bounces + 1):
             for q in range(1, n // 2 + 1):
                 length = 2.0 * n * self.radius * math.sin(math.pi * q / n)
@@ -296,9 +294,11 @@ def length_spectrum(table: Table, l_max: float, max_bounces: int = 64) -> Length
     """All closed-orbit lengths up to l_max, from the table's `_orbits`.
 
     A length within 1e-9 of the one before is dropped with its descriptor.
-    Only a disc reads max_bounces.
+    max_bounces is checked for every table and read only by a disc.
     """
     _positive("l_max", l_max)
+    # a disc's (n, q) pairs number about max_bounces^2 / 4
+    max_bounces = _count("max_bounces", max_bounces, 2, math.isqrt(_MAX_CANDIDATES))
     lengths = []
     descriptors = []
     for length, descriptor in sorted(table._orbits(l_max, max_bounces)):

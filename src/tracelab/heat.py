@@ -128,7 +128,7 @@ def heat_evolve(f: np.ndarray, grid: Grid, t: float, method: str = SPECTRAL,
 def random_trig_sample(grid: Grid, modes: int = 5, seed: int = 0) -> np.ndarray:
     """Seeded random 1-periodic function: constant plus `modes` cos/sin pairs."""
     modes = _count("modes", modes, 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count("seed", seed, 0))
     # the same stream as drawing the constant, then a_k and b_k in turn
     draws = rng.standard_normal(2 * modes + 1)
     rows = trig_modes(np.arange(1, modes + 1), grid.nodes)[1]

@@ -111,43 +111,18 @@ def _as_sym(a) -> SymMatrix:
 
 @dataclass(frozen=True, eq=False)
 class EigenDecomposition:
-    """Eigenvalues sorted descending; column k of vectors belongs to values[k]."""
+    """Eigenvalues sorted descending; column k of vectors belongs to values[k].
+
+    A stable sort: tied values keep the order their solver gives them in.
+    """
 
     values: np.ndarray
     vectors: np.ndarray
 
 
-def _first_rows_above(columns: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """Per column, the first row where |scale x| exceeds 1e-12, or -1 where none does.
-
-    Scanned by row blocks, which stop once every column has its row, so
-    no temporary is larger than one block.
-    """
-    first = np.full(columns.shape[1], -1)
-    for rows in row_blocks(*columns.shape):
-        above = np.abs(columns[rows])
-        above *= scale
-        above = above > 1e-12
-        found = (first < 0) & above.any(axis=0)
-        first[found] = rows.start + above[:, found].argmax(axis=0)
-        if (first >= 0).all():
-            break
-    return first
-
-
-def _order(values: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """The column order: values descending, ties by descending first row above 1e-12.
-
-    `first` is that row of each column, -1 for an all-negligible column,
-    which counts as row 0, so repeated eigenvalues come out in a
-    reproducible vector order.
-    """
-    return np.lexsort((-np.maximum(first, 0), -values))
-
-
 def _sorted_decomposition(values: np.ndarray, vectors: np.ndarray) -> EigenDecomposition:
     # the inputs may be views: the gathers make the only copies
-    order = _order(values, _first_rows_above(vectors))
+    order = np.argsort(-values, kind="stable")
     return _read_only(values[order], vectors[:, order])
 
 
@@ -351,8 +326,8 @@ def _unfolded(values: np.ndarray, halves: np.ndarray, n: int) -> EigenDecomposit
     An even-block vector (u, c) becomes (u, sqrt 2 c, Ju)/sqrt 2, an
     odd-block vector w becomes (w, -Jw)/sqrt 2; for odd n the pad's pair,
     the odd block's first in ascending order, is dropped.  The pairs are
-    sorted as `_sorted_decomposition` sorts them, with each tie-break row
-    read from the halves, and the vectors are written straight into their
+    sorted as `_sorted_decomposition` sorts them, the even block's before
+    the odd block's, and the vectors are written straight into their
     sorted columns, row block by row block.
 
     Memory: the n x n vectors, and temporaries of one row block.
@@ -360,12 +335,7 @@ def _unfolded(values: np.ndarray, halves: np.ndarray, n: int) -> EigenDecomposit
     m, h, odd = n // 2, (n + 1) // 2, n % 2
     even, odd_block = halves[0], halves[1, :, odd:]
     values = np.concatenate((values[0], values[1, odd:]))
-    first = np.concatenate((_first_rows_above(even[:m], _HALF_SQRT2),
-                            _first_rows_above(odd_block[:m], _HALF_SQRT2)))
-    if odd:
-        # the centre row, 0 in odd vectors, is c itself in even ones
-        first[:h][(first[:h] < 0) & (np.abs(even[m]) > 1e-12)] = m
-    order = _order(values, first)
+    order = np.argsort(-values, kind="stable")
     vectors = np.empty((n, n))
     mirrored = vectors[n - m:][::-1]
     for rows in row_blocks(m, n):
@@ -397,8 +367,7 @@ def eigh_eigen(a) -> EigenDecomposition:
     sorted order with no n x n temporary.
     """
     if not isinstance(a, Halves):
-        values, vectors = np.linalg.eigh(_as_sym(a).entries)
-        return _sorted_decomposition(values[::-1], vectors[:, ::-1])
+        return _sorted_decomposition(*np.linalg.eigh(_as_sym(a).entries))
     n = a.n
     values, halves = np.linalg.eigh(a.blocks)
     del a  # the only reference, unless the caller keeps one
@@ -431,7 +400,7 @@ class TraceIdentityReport:
 def matrix_trace_identity(a) -> TraceIdentityReport:
     """Both sides of the trace identity: sum of eigenvalues vs matrix trace."""
     sym = _as_sym(a)
-    eig_sum = float(np.sum(jacobi_eigen(sym, values_only=True)))
+    eig_sum = float(np.sum(_values(sym)))
     diag_sum = float(np.trace(sym.entries))
     return TraceIdentityReport(eig_sum=eig_sum, diag_sum=diag_sum,
                                residual=abs(eig_sum - diag_sum))

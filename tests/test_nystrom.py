@@ -72,7 +72,7 @@ def test_eigh_decomposition_gathers_once():
     assert d.vectors.shape == (n, n)
     # LAPACK's half-size eigenvectors, 0.5, and the n x n vectors they are
     # unfolded into, in sorted order, with row-block temporaries.  An n x n
-    # tie-break or gather temporary would add 1.0
+    # gather temporary would add 1.0
     assert peak < 1.8 * 8 * n**2
 
 
