@@ -103,11 +103,9 @@ def _grid(name: str, n: int, per_node: int = 1, cap: int = _MAX_SAMPLES, **cause
 def _indefiniteness(spec, grid, mode: str) -> None:
     """Warn or fail when a discretized kernel has negative eigenvalues.
 
-    The eigenvalues come from one LAPACK call at every size, on the even
-    and odd halves of a reflection-symmetric matrix (the Green and
-    heat-circle kernels) and on any other, such as an asymmetric
-    tabulated kernel, whole; see `nystrom.discretize`.  `ignore`
-    neither discretizes nor decomposes.
+    The eigenvalues come from one LAPACK call at every size, on what
+    `nystrom.discretize` gives: a reflective kernel's halves, any other B
+    whole.  `ignore` neither discretizes nor decomposes.
 
     `trace-check` and `spectrum` call it after their own solve, so `fail`
     costs the solve.  In that order the check's halves are sampled after
@@ -119,7 +117,7 @@ def _indefiniteness(spec, grid, mode: str) -> None:
         return
     from . import nystrom
 
-    values = nystrom._values(nystrom.discretize(spec, grid, split=True))
+    values = nystrom._values(nystrom.discretize(spec, grid))
     floor = -1e-10 * max(1.0, float(np.abs(values).max()))
     if values.min() < floor:
         message = (f"kernel is indefinite: smallest discrete eigenvalue "
@@ -277,10 +275,13 @@ def _cmd_billiard(args):
 
     table = _table_from_args(args)
     start = tuple(args.start)
-    norm = math.hypot(*args.dir)
+    # scaled by a power of two first, exactly: hypot of subnormals keeps few bits
+    exponent = math.frexp(max(map(abs, args.dir)))[1]
+    dx, dy = (math.ldexp(d, -exponent) for d in args.dir)
+    norm = math.hypot(dx, dy)
     if norm == 0.0:
         raise ValueError("direction must be nonzero")
-    direction = (args.dir[0] / norm, args.dir[1] / norm)
+    direction = (dx / norm, dy / norm)
     trajectory = billiard.simulate(table, start, direction, args.budget)
     orbit = billiard.is_closed(trajectory, start, direction, tol=args.tol)
     closed = f"closed_at={orbit.length!r}" if orbit else "not_closed"
@@ -312,6 +313,8 @@ def _cmd_wave_trace(args):
     from . import _positive, _within, billiard, wavetrace
 
     _positive("t-step", args.t_step)
+    if not args.t_min < _positive("t-max", args.t_max):
+        raise ValueError(f"t-min={args.t_min} must be below t-max={args.t_max}")
     _within({"t-step": args.t_step, "t-min": args.t_min, "t-max": args.t_max},
             (args.t_max - args.t_min) / args.t_step, "time steps", _MAX_TIME_STEPS)
     mu_max = args.mu_max

@@ -35,7 +35,7 @@ def eval_green(x, y):
     """
     xv = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
-    if np.any(xv < 0.0) or np.any(xv > 1.0) or np.any(yv < 0.0) or np.any(yv > 1.0):
+    if not (((0.0 <= xv) & (xv <= 1.0)).all() and ((0.0 <= yv) & (yv <= 1.0)).all()):  # NaN too
         raise ValueError("green kernel arguments must lie in [0,1]")
     out = np.where(xv <= yv, xv * (1.0 - yv), yv * (1.0 - xv))
     return float(out) if out.ndim == 0 else out

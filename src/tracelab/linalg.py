@@ -150,9 +150,11 @@ _TOL = 1e-12
 _MAX_SWEEPS = 100
 
 
-def jacobi_eigen(a, *, values_only: bool = False) -> EigenDecomposition | np.ndarray:
-    """Round-robin cyclic Jacobi eigensolver for symmetric matrices.
+def jacobi_eigen(a) -> EigenDecomposition:
+    """Round-robin cyclic Jacobi eigensolver with the same contract as eigh_eigen.
 
+    `Halves` are decomposed one by one and unfolded as LAPACK's are; the
+    odd half's pad row is zero, so the pad is never rotated and stays least.
     Each sweep runs n-1 rounds of the round-robin ordering (Brent & Luk,
     SIAM J. Sci. Stat. Comput. 6, 1985); a round rotates floor(n/2)
     disjoint pairs at once, and an odd n is padded with one inert zero
@@ -164,24 +166,27 @@ def jacobi_eigen(a, *, values_only: bool = False) -> EigenDecomposition | np.nda
     deterministic.  Jacobi is kept as the high-relative-accuracy reference
     for LAPACK (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1992).
 
-    values_only=True skips the eigenvector accumulation and returns only
-    the eigenvalues, sorted descending; they are bit-identical to the
-    values of the full decomposition.
-
     Raises NumericalError if _MAX_SWEEPS sweeps do not converge
     (practically unreachable for finite symmetric input).
     """
-    sym = _as_sym(a)
-    n = sym.n
+    if not isinstance(a, Halves):
+        return _sorted_decomposition(*_jacobi(_as_sym(a).entries))
+    values, vectors = zip(*map(_jacobi, a.blocks))
+    return _unfolded(np.stack(values), np.stack(vectors), a.n)
+
+
+def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A finite symmetric array's eigenpairs as `numpy.linalg.eigh` gives them, stably sorted."""
+    n = a.shape[0]
     m = n + n % 2
     h = m // 2
     # scaled by a power of two, so that the largest entry lies in [0.5, 1):
     # exact, and the Frobenius norms can then neither overflow nor underflow
-    exponent = int(np.frexp(np.abs(sym.entries).max())[1]) if n else 0
+    exponent = int(np.frexp(np.abs(a).max())[1]) if n else 0
     mat = np.zeros((m, m))
-    mat[:n, :n] = np.ldexp(sym.entries, -exponent)
+    mat[:n, :n] = np.ldexp(a, -exponent)
     # rows of vec are the eigenvector estimates, in the same layout as mat
-    vec = None if values_only else np.eye(m, n)
+    vec = np.eye(m, n)
     frob = float(np.linalg.norm(mat))
     perm = _round_robin(m)
     p = np.arange(0, m, 2)
@@ -226,14 +231,10 @@ def jacobi_eigen(a, *, values_only: bool = False) -> EigenDecomposition | np.nda
             both = np.matmul(rotations, rows.T.copy().reshape(h, 2, m)).reshape(m, m)
             both.reshape(-1)[pivots] = 0.0
             mat = both.take(perm, axis=0).take(perm, axis=1)
-            if vec is not None:
-                vec = np.matmul(rotations, vec.reshape(h, 2, n)).reshape(m, n).take(perm, axis=0)
+            vec = np.matmul(rotations, vec.reshape(h, 2, n)).reshape(m, n).take(perm, axis=0)
     values = np.ldexp(mat.diagonal()[:n], exponent)
-    if values_only:
-        values = np.sort(values)[::-1].copy()
-        values.setflags(write=False)
-        return values
-    return _sorted_decomposition(values, vec[:n].T)
+    order = np.argsort(values, kind="stable")
+    return values[order], vec[order].T
 
 
 _HALF_SQRT2 = math.sqrt(0.5)
@@ -355,10 +356,8 @@ def eigh_eigen(a) -> EigenDecomposition:
 
     Used where problem sizes make O(n^3)-with-large-constant Jacobi sweeps
     impractical.  a is a matrix or the `Halves` of one, as
-    `nystrom.discretize(..., split=True)` gives them; one
-    `numpy.linalg.eigh` call decomposes both halves, or the matrix whole.
-    Jacobi (n <= 160 in `nystrom`) and the whole-matrix LAPACK call stay
-    the oracles tests pin the halves against.
+    `nystrom.discretize` gives them; one `numpy.linalg.eigh` call
+    decomposes both halves, or the matrix whole.
 
     Memory, in units of 8 n^2 bytes: given the halves (0.5), LAPACK adds
     its half-size vectors (0.5), workspace (0.5) and copy of one half

@@ -31,8 +31,8 @@ from .quadrature import Grid
 JACOBI_SIZE_LIMIT = 160
 
 
-def discretize(spec: KernelSpec, grid: Grid, *, split: bool = False) -> SymMatrix | Halves:
-    """Symmetrized Nystrom matrix B[i,j] = sqrt(w_i) k(x_i, x_j) sqrt(w_j).
+def discretize(spec: KernelSpec, grid: Grid) -> SymMatrix | Halves:
+    """Symmetrized Nystrom matrix B[i,j] = sqrt(w_i) k(x_i, x_j) sqrt(w_j), or its halves.
 
     Every built-in kernel matrix, and a tabulated kernel's symmetrized
     table, equals its transpose bit for bit, and s_i s_j = s_j s_i, so B
@@ -40,10 +40,10 @@ def discretize(spec: KernelSpec, grid: Grid, *, split: bool = False) -> SymMatri
     symmetrizing pass.  The kernel is sampled by row blocks of about 2**16
     entries (see `KernelSpec.sampler`), each weighted as it is read.
 
-    split=True returns B's even and odd reflection halves instead where
-    `spec.reflective`, as for Green and heat-circle on both grids: each
-    row block and its mirror rows are sampled, weighted and folded
-    straight into the (2, h, h) stack, bit for bit the stack
+    Where `spec.reflective`, as for Green and heat-circle on both grids,
+    B's even and odd reflection halves are returned instead: each row
+    block and its mirror rows are sampled, weighted and folded straight
+    into the (2, h, h) stack, bit for bit the stack
     `linalg._reflection_blocks` folds from B, so B is never made.  Any
     other B, as of a table without the symmetry, is sampled once, whole.
 
@@ -58,7 +58,7 @@ def discretize(spec: KernelSpec, grid: Grid, *, split: bool = False) -> SymMatri
     def weighted(rows, out):
         return np.multiply(sample(rows, out), np.multiply.outer(s[rows], s), out=out)
 
-    if split and spec.reflective:
+    if spec.reflective:
         return Halves(_fold_halves(weighted, grid.n), grid.n)
     b = np.empty((grid.n, grid.n))
     for rows in row_blocks(grid.n):
@@ -83,7 +83,7 @@ class OperatorSpectrum:
 def operator_spectrum(spec: KernelSpec, grid: Grid, count: int) -> OperatorSpectrum:
     """Leading `count` eigenpairs of the kernel operator on the grid.
 
-    Jacobi decomposes matrices up to JACOBI_SIZE_LIMIT, LAPACK larger ones.
+    Jacobi decomposes B or its halves up to JACOBI_SIZE_LIMIT, LAPACK larger ones.
     Eigenvector samples are un-weighted back to function samples via
     f_k(x_i) = v_ik / sqrt(w_i).  The sign is fixed by making the first
     component above 1e-8 max|f_k| positive: the largest magnitude can be
@@ -91,11 +91,9 @@ def operator_spectrum(spec: KernelSpec, grid: Grid, count: int) -> OperatorSpect
     For the Green kernel this gives the sines' positive slope at x = 0.
     """
     count = _count("count", count, 1, grid.n)
-    if grid.n <= JACOBI_SIZE_LIMIT:
-        decomposition = jacobi_eigen(discretize(spec, grid))
-    else:
-        # no name here holds the halves, so eigh_eigen frees them before it unfolds
-        decomposition = eigh_eigen(discretize(spec, grid, split=True))
+    solve = jacobi_eigen if grid.n <= JACOBI_SIZE_LIMIT else eigh_eigen
+    # no name here holds the halves, so eigh_eigen frees them before it unfolds
+    decomposition = solve(discretize(spec, grid))
     order = np.argsort(-np.abs(decomposition.values), kind="stable")[:count]
     values = decomposition.values[order]
     functions = decomposition.vectors[:, order].T / np.sqrt(grid.weights)
@@ -119,16 +117,14 @@ def trace_formula_check(spec: KernelSpec, grid: Grid) -> TraceFormulaReport:
     The two sides agree exactly through the matrix trace, so the residual
     measures only eigensolver round-off; the interesting quantity is how
     fast diag_integral converges to the continuum value as the grid refines.
-    Only eigenvalues are computed: Jacobi values-only on B up to
-    JACOBI_SIZE_LIMIT, one LAPACK call above it, on B's even and odd
-    halves, sampled without B, where B is reflection-symmetric, and on
-    any other B whole.  Jacobi and the whole-matrix LAPACK call remain
-    the oracles the split is tested against.
+    The eigenvalues are Jacobi's up to JACOBI_SIZE_LIMIT and one LAPACK
+    values-only call's above it, of B's even and odd halves, sampled
+    without B, where B is reflection-symmetric, and of any other B whole.
     """
     if grid.n <= JACOBI_SIZE_LIMIT:
-        values = jacobi_eigen(discretize(spec, grid), values_only=True)
+        values = jacobi_eigen(discretize(spec, grid)).values
     else:
-        values = _values(discretize(spec, grid, split=True))
+        values = _values(discretize(spec, grid))
     # summed scaled by a power of two, exactly, so that it cannot overflow
     exponent = int(np.frexp(np.abs(values).max())[1])
     eig_sum = float(np.ldexp(np.sum(np.ldexp(values, -exponent)), exponent))

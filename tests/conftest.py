@@ -4,10 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tracelab
 from tracelab.fileio import write_csv
+from tracelab.linalg import SymMatrix
 
 
 @pytest.fixture(autouse=True)
@@ -35,6 +37,21 @@ def write_kernel_csv(tmp_path):
         write_csv(path, ["node", *nodes], [nodes, *spec.values.T])
         return path
     return write
+
+
+@pytest.fixture(scope="session")
+def whole_b():
+    """Sampler of a kernel's whole Nystrom matrix B = D K D on a grid, D = diag(sqrt(w)).
+
+    It is the `SymMatrix` `nystrom.discretize` makes, bit for bit, where
+    the kernel is not reflective, and the tests' reference for the
+    halves it gives every other kernel.  Session-scoped, so that
+    hypothesis tests can take it.
+    """
+    def sample(spec, grid):
+        s = np.sqrt(grid.weights)
+        return SymMatrix._from_buffer(spec.matrix(grid) * np.multiply.outer(s, s))
+    return sample
 
 
 def _cell(value) -> str:

@@ -139,14 +139,16 @@ def test_billiard_negative_direction_components(capsys):
 
 
 def test_subnormal_direction_runs_without_warning():
-    # the wall distance along the 1e-320 component overflows to inf, the right value
-    result = subprocess.run(
-        [sys.executable, "-m", "tracelab.cli", "billiard", "--dir", "1", "1e-320",
-         "--budget", "3"],
-        capture_output=True, text=True,
-    )
-    assert result.returncode == 0
-    assert result.stderr == ""
+    # the wall distance along a 1e-320 component overflows to inf, the right value;
+    # two subnormal components are normalized as any other direction
+    for direction in (("1", "1e-320"), ("1e-320", "1e-320"), ("-2e-320", "2e-320")):
+        result = subprocess.run(
+            [sys.executable, "-m", "tracelab.cli", "billiard", "--dir", *direction,
+             "--budget", "3"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, direction
+        assert result.stderr == ""
 
 
 def test_length_spectrum_square(capsys, tmp_path):
@@ -622,6 +624,10 @@ BAD_INPUTS = [
     # numpy refused a negative seed without naming it
     (["heat-compare", "--seed", "-1"], 2),
     (["bvp-compare", "--seed", "-1"], 2),
+    # an empty or non-positive time window, refused by the options' own names
+    (["wave-trace", "--t-min", "-1", "--t-max", "0"], 2),
+    (["wave-trace", "--t-min", "-1", "--t-max", "-0.5"], 2),
+    (["wave-trace", "--t-min", "5", "--t-max", "1"], 2),
 ]
 # every integer option at 10**400 and -10**400, beyond the float range: refusals
 # that formatted one as a float ended in an OverflowError, and others printed all
@@ -731,6 +737,9 @@ NAMED_IN_ERROR = {
     "bvp-compare --seed -1": "seed must be >= 0, got -1",
     "heat-compare --seed -{huge}": "seed must be >= 0, got -1.000e+400",
     "bvp-compare --seed -{huge}": "seed must be >= 0, got -1.000e+400",
+    "wave-trace --t-min -1 --t-max 0": "t-max must be positive and finite, got 0.0",
+    "wave-trace --t-min -1 --t-max -0.5": "t-max must be positive and finite, got -0.5",
+    "wave-trace --t-min 5 --t-max 1": "t-min=5.0 must be below t-max=1.0",
 }
 
 

@@ -60,6 +60,10 @@ def test_green_rejects_outside():
         eval_green(1.5, 0.5)
     with pytest.raises(ValueError):
         eval_green(0.5, -0.1)
+    # NaN fails the domain test too, alone or in one place of an array
+    for x, y in ((math.nan, 0.5), (0.5, math.nan), (np.array([0.2, math.nan, 0.7]), 0.5)):
+        with pytest.raises(ValueError, match=r"must lie in \[0,1\]"):
+            eval_green(x, y)
 
 
 def test_heat_diagonal_value():

@@ -6,7 +6,7 @@ import pytest
 
 from tracelab import cli, nystrom
 from tracelab.kernels import green_dirichlet, heat_circle, tabulated
-from tracelab.linalg import _values, eigh_eigen, jacobi_eigen, row_blocks
+from tracelab.linalg import _reflection_blocks, _values, eigh_eigen, jacobi_eigen, row_blocks
 from tracelab.nystrom import (
     JACOBI_SIZE_LIMIT,
     discretize,
@@ -21,13 +21,14 @@ def analytic_green_eigenvalue(k):
     return 1.0 / (math.pi**2 * k**2)
 
 
-def test_discretize_constant_kernel_rank_one():
+def test_discretize_constant_kernel_rank_one(whole_b):
     g = make_grid(TRAPEZOID, 12)
     c = 0.7
     spec = tabulated(np.full((12, 12), c), g)
-    b = discretize(spec, g)
+    b = whole_b(spec, g)
     s = np.sqrt(g.weights)
     assert np.abs(b.entries - c * np.outer(s, s)).max() < 1e-15
+    assert np.array_equal(discretize(spec, g).blocks, _reflection_blocks(b.entries))
     values = operator_spectrum(spec, g, 12).eigenvalues
     assert abs(values[0] - c) < 1e-12
     assert np.abs(values[1:]).max() < 1e-12
@@ -41,14 +42,19 @@ def test_discretize_green_leading_eigenvalue():
 
 def test_discretize_zero_kernel():
     g = make_grid(TRAPEZOID, 9)
-    b = discretize(tabulated(np.zeros((9, 9)), g), g)
-    assert np.abs(b.entries).max() == 0.0
+    halves = discretize(tabulated(np.zeros((9, 9)), g), g)
+    # all zero but the odd half's pad, -1 for B = 0
+    assert np.abs(halves.blocks[:, :4]).max() == 0.0 and halves.blocks[1, 4, 4] == -1.0
 
 
 def test_discretize_allocates_one_matrix():
+    # a table without the reflection symmetry, which is sampled whole
     n = 801
     g = make_grid(TRAPEZOID, n)
-    spec = green_dirichlet()
+    table = np.random.default_rng(n).uniform(-1.0, 1.0, (n, n))
+    spec = tabulated(table + table.T, g)
+    assert spec.reflective is False
+    del table
     tracemalloc.start()
     try:
         b = discretize(spec, g)
@@ -62,7 +68,7 @@ def test_discretize_allocates_one_matrix():
 
 def test_eigh_decomposition_gathers_once():
     n = 801
-    b = discretize(green_dirichlet(), make_grid(TRAPEZOID, n), split=True)
+    b = discretize(green_dirichlet(), make_grid(TRAPEZOID, n))
     tracemalloc.start()
     try:
         d = eigh_eigen(b)
@@ -81,7 +87,7 @@ def test_split_eigenvalues_make_no_full_size_temporary():
         g = make_grid(TRAPEZOID, n)
         tracemalloc.start()
         try:
-            values = _values(discretize(green_dirichlet(), g, split=True))
+            values = _values(discretize(green_dirichlet(), g))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -137,17 +143,18 @@ def test_matrix_without_the_symmetry_reaches_lapack_unchanged(monkeypatch, n, bl
     table[i, j] = table[j, i] = table[i, j] + 1e-3
     spec = tabulated(table, g)
     assert spec.reflective is False
-    whole = np.linalg.eigvalsh(discretize(spec, g).entries)[::-1]
-    assert _values(discretize(spec, g, split=True)).tobytes() == whole.tobytes()
+    b = discretize(spec, g)
+    whole = np.linalg.eigvalsh(b.entries)[::-1]
+    assert _values(b).tobytes() == whole.tobytes()
     calls, discretized = [], nystrom.discretize
     monkeypatch.setattr(nystrom, "discretize",
                         lambda *a, **k: calls.append(k) or discretized(*a, **k))
     assert trace_formula_check(spec, g).eig_sum == float(np.sum(whole))
-    assert calls == [{"split": True}]
+    assert calls == [{}]
 
 
 @pytest.mark.parametrize("n", [200, 201])
-def test_split_never_folds_a_table_without_the_symmetry(monkeypatch, n):
+def test_split_never_folds_a_table_without_the_symmetry(monkeypatch, n, whole_b):
     # the table says when it is made that it has no reflection symmetry, so
     # its B is sampled once, whole, with no halves made and dropped
     g = make_grid(TRAPEZOID, n)
@@ -155,9 +162,9 @@ def test_split_never_folds_a_table_without_the_symmetry(monkeypatch, n):
     spec = tabulated(table + table.T, g)
     folds = []
     monkeypatch.setattr(nystrom, "_fold_halves", lambda *a: folds.append(a))
-    b = discretize(spec, g, split=True)
+    b = discretize(spec, g)
     assert folds == []
-    assert b.entries.tobytes() == discretize(spec, g).entries.tobytes()
+    assert b.entries.tobytes() == whole_b(spec, g).entries.tobytes()
 
 
 @pytest.mark.parametrize("n", [101, 201], ids=["jacobi", "lapack"])
@@ -175,7 +182,7 @@ def test_eigenvalue_sum_of_a_table_near_the_float_maximum_is_finite(n):
 
 def parity_sums(n):
     """Sums of the Green trapezoid eigenvalues whose eigenvectors are even / odd about 1/2."""
-    d = eigh_eigen(discretize(green_dirichlet(), make_grid(TRAPEZOID, n), split=True))
+    d = eigh_eigen(discretize(green_dirichlet(), make_grid(TRAPEZOID, n)))
     parity = np.einsum("ij,ij->j", d.vectors, d.vectors[::-1])
     assert np.abs(np.abs(parity) - 1.0).max() < 1e-12
     return float(d.values[parity > 0].sum()), float(d.values[parity < 0].sum())
@@ -287,23 +294,33 @@ def test_eigenvalue_convergence_under_refinement():
     assert np.all(errors[801] / errors[401] <= 0.35)
 
 
-def test_eigensolvers_agree():
-    # values-only Jacobi against LAPACK eigvalsh, odd and even n; the random
-    # tabulated kernel is indefinite, so no eigenvalue is negligible
+def test_eigensolvers_agree(whole_b):
+    # Jacobi against LAPACK eigvalsh, odd and even n; the random tabulated
+    # kernel is indefinite, so no eigenvalue is negligible
     rng = np.random.default_rng(6)
     table = rng.uniform(-1.0, 1.0, (40, 40))
     for spec, n in ((green_dirichlet(), 101), (heat_circle(0.05), 63),
                     (tabulated(table + table.T, make_grid(TRAPEZOID, 40)), 40)):
-        b = discretize(spec, make_grid(TRAPEZOID, n))
-        jac = jacobi_eigen(b, values_only=True)
+        b = whole_b(spec, make_grid(TRAPEZOID, n))
+        jac = jacobi_eigen(b).values
         lap = np.linalg.eigvalsh(b.entries)[::-1]
         trace = np.trace(b.entries)
         assert abs(jac.sum() - lap.sum()) < 1e-12
         assert max(abs(jac.sum() - trace), abs(lap.sum() - trace)) < 1e-12
-    b = discretize(green_dirichlet(), make_grid(TRAPEZOID, 101))
+    b = whole_b(green_dirichlet(), make_grid(TRAPEZOID, 101))
     vals_j = jacobi_eigen(b).values[:10]
     vals_e = eigh_eigen(b).values[:10]
     assert np.abs(vals_j - vals_e).max() < 1e-12
+    # Jacobi on the halves against LAPACK on the halves, pairs and all
+    for spec, n in ((green_dirichlet(), 101), (green_dirichlet(), 100), (heat_circle(0.05), 63)):
+        g = make_grid(TRAPEZOID, n)
+        halves = discretize(spec, g)
+        dj, de = jacobi_eigen(halves), eigh_eigen(halves)
+        scale = np.abs(de.values).max()
+        assert np.abs(dj.values - de.values).max() < 1e-12 * scale
+        assert np.abs(dj.vectors.T @ dj.vectors - np.eye(n)).max() < 1e-12
+        b = whole_b(spec, g).entries
+        assert np.abs(b @ dj.vectors - dj.vectors * dj.values).max() < 1e-12 * scale
 
 
 def test_eigenfunction_signs_match_per_pair_loop():
@@ -314,7 +331,7 @@ def test_eigenfunction_signs_match_per_pair_loop():
         assert (n <= JACOBI_SIZE_LIMIT) == (solve is jacobi_eigen)
         g = make_grid(TRAPEZOID, n)
         spectrum = operator_spectrum(spec, g, 8)
-        d = solve(discretize(spec, g, split=solve is eigh_eigen))
+        d = solve(discretize(spec, g))
         order = np.argsort(-np.abs(d.values), kind="stable")[:8]
         for row, k in enumerate(order):
             f = d.vectors[:, k] / np.sqrt(g.weights)
@@ -323,11 +340,11 @@ def test_eigenfunction_signs_match_per_pair_loop():
             assert np.array_equal(spectrum.eigenfunctions[row], f)
 
 
-def test_exact_discrete_identity_various_kernels():
+def test_exact_discrete_identity_various_kernels(whole_b):
     for spec, n in ((green_dirichlet(), 101), (heat_circle(0.2), 64)):
         for kind in (TRAPEZOID,):
             g = make_grid(kind, n)
-            b = discretize(spec, g)
+            b = whole_b(spec, g)
             report = trace_formula_check(spec, g)
             assert abs(report.eig_sum - np.trace(b.entries)) < 1e-10
 
